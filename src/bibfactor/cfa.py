@@ -270,11 +270,8 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
             theta[:n_load] / se_vector[:n_load],
             np.nan,
         )
-    flat = z[spec.loadings_free]
-    p_values[spec.loadings_free] = [
-        2.0 * (1.0 - normal_cdf(abs(v))) if np.isfinite(v) else np.nan
-        for v in flat
-    ]
+    # the lower tail keeps precision where 1 - Phi(|z|) would cancel to 0
+    p_values[spec.loadings_free] = 2.0 * normal_cdf(-np.abs(z[spec.loadings_free]))
 
     return CFAFit(
         labels=spec.labels,

@@ -26,7 +26,6 @@ from .efa import (
     adequacy,
     bootstrap_efa,
     categorize,
-    correlation_matrix,
     efa_pipeline,
 )
 from .errors import BibfactorError
@@ -59,6 +58,10 @@ def _add_input_options(parser, formats=("long", "wide", "indicators")):
     group.add_argument("--input", metavar="PATH", help="CSV input file")
     parser.add_argument("--format", choices=formats, default="long",
                         help="input file format (default: long)")
+    parser.add_argument("--g-convention", choices=["padded", "capped"],
+                        default="padded",
+                        help="g-index beyond the paper count, for citation "
+                             "input (default: padded)")
 
 
 def _add_output_options(parser):
@@ -100,16 +103,20 @@ def _load_table(args):
     if args.fixture:
         return fixture_table()
     text = _read_text(args.input)
-    fmt = getattr(args, "format", "indicators")
-    if fmt == "indicators":
+    if args.format == "indicators":
         return parse_indicator_table(io.StringIO(text))
-    records = parse_citations(io.StringIO(text), fmt=fmt)
-    convention = GConvention(getattr(args, "g_convention", "padded"))
-    return table_from_records(records, convention)
+    records = parse_citations(io.StringIO(text), fmt=args.format)
+    return table_from_records(records, GConvention(args.g_convention))
 
 
-def _settings(args):
-    return ExtractionSettings(n_factors=args.factors)
+def _model_input(args):
+    """Columns, labels, transform and settings of the efa/cfa/bootstrap run."""
+    table = _load_table(args)
+    variables = _resolve_vars(args.vars)
+    transform = Transform(args.transform)
+    settings = ExtractionSettings(n_factors=args.factors)
+    values = np.column_stack([table.column(v) for v in variables])
+    return values, variables, transform, settings
 
 
 def _emit(args, text_fn, payload_fn, csv_fn=None):
@@ -124,11 +131,7 @@ def _emit(args, text_fn, payload_fn, csv_fn=None):
 
 
 def _cmd_indices(args):
-    if args.fixture:
-        table = fixture_table()
-    else:
-        records = parse_citations(_read_text(args.input), fmt=args.format)
-        table = table_from_records(records, GConvention(args.g_convention))
+    table = _load_table(args)
     columns = list(INDICATOR_COLUMNS)
 
     def as_text():
@@ -206,16 +209,10 @@ def _loading_rows(labels, values, decimals=3):
 
 
 def _cmd_efa(args):
-    table = _load_table(args)
-    variables = _resolve_vars(args.vars)
-    transform = Transform(args.transform)
-    settings = _settings(args)
-    values = np.column_stack([table.column(v) for v in variables])
-    columns = [apply_transform(values[:, j], transform) for j in range(values.shape[1])]
-    corr = correlation_matrix(np.column_stack(columns), variables)
-    quality = adequacy(corr, table.n_rows)
+    values, variables, transform, settings = _model_input(args)
     result = efa_pipeline(values, variables, transform, settings,
                           args.rotation, kappa=args.kappa)
+    quality = adequacy(result.correlation, len(values))
     cat = categorize(result.rotated, threshold=args.threshold)
     m = result.rotated.m
     factor_names = [f"F{j + 1}" for j in range(m)]
@@ -300,17 +297,11 @@ def _cmd_efa(args):
 
 
 def _cmd_cfa(args):
-    table = _load_table(args)
-    variables = _resolve_vars(args.vars)
-    transform = Transform(args.transform)
-    settings = _settings(args)
-    values = np.column_stack([table.column(v) for v in variables])
+    values, variables, transform, settings = _model_input(args)
     efa = efa_pipeline(values, variables, transform, settings, "varimax")
     spec = pattern_from_efa(efa.rotated, threshold=args.threshold,
                             assign_max=args.assign_max)
-    columns = [apply_transform(values[:, j], transform) for j in range(values.shape[1])]
-    corr = correlation_matrix(np.column_stack(columns), variables)
-    fit = cfa_fit(corr, table.n_rows, spec)
+    fit = cfa_fit(efa.correlation, len(values), spec)
 
     def as_text():
         rows = []
@@ -365,11 +356,7 @@ def _nan_to_none(matrix):
 
 
 def _cmd_bootstrap(args):
-    table = _load_table(args)
-    variables = _resolve_vars(args.vars)
-    transform = Transform(args.transform)
-    settings = _settings(args)
-    values = np.column_stack([table.column(v) for v in variables])
+    values, variables, transform, settings = _model_input(args)
     result = bootstrap_efa(
         values, variables, transform, settings, args.rotation,
         n_boot=args.B, seed=args.seed, kappa=args.kappa,
@@ -431,15 +418,11 @@ def build_parser():
 
     p = sub.add_parser("indices", help="compute the indicator table")
     _add_input_options(p, formats=("long", "wide"))
-    p.add_argument("--g-convention", choices=["padded", "capped"],
-                   default="padded")
     _add_output_options(p)
     p.set_defaults(func=_cmd_indices)
 
     p = sub.add_parser("describe", help="moments and KS tests per indicator")
     _add_input_options(p)
-    p.add_argument("--g-convention", choices=["padded", "capped"],
-                   default="padded")
     _add_model_options(p)
     p.add_argument("--df", type=float, default=None,
                    help="fix the Student df (default: fit by ML)")
@@ -448,8 +431,6 @@ def build_parser():
 
     p = sub.add_parser("efa", help="exploratory factor analysis")
     _add_input_options(p)
-    p.add_argument("--g-convention", choices=["padded", "capped"],
-                   default="padded")
     _add_model_options(p)
     p.add_argument("--rotation", choices=["none", "varimax", "promax"],
                    default="varimax")
@@ -461,8 +442,6 @@ def build_parser():
 
     p = sub.add_parser("cfa", help="confirmatory follow-up of the EFA pattern")
     _add_input_options(p)
-    p.add_argument("--g-convention", choices=["padded", "capped"],
-                   default="padded")
     _add_model_options(p)
     p.add_argument("--threshold", type=float, default=0.7,
                    help="pattern threshold on the varimax loadings")
@@ -474,8 +453,6 @@ def build_parser():
 
     p = sub.add_parser("bootstrap", help="bootstrap the EFA loadings")
     _add_input_options(p)
-    p.add_argument("--g-convention", choices=["padded", "capped"],
-                   default="padded")
     _add_model_options(p)
     p.add_argument("--rotation", choices=["none", "varimax", "promax"],
                    default="varimax")

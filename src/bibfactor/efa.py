@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc
@@ -62,6 +62,12 @@ def symmetric_eigen(matrix):
         raise AsymmetricMatrixError(
             f"matrix is not symmetric (max |M - M'| = {asym:.3e})"
         )
+    return _sorted_eigh(m)
+
+
+def _sorted_eigh(m):
+    # For matrices this module built itself: symmetric by construction, so
+    # only the rounding-level asymmetry is averaged away, without a check.
     values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(values)[::-1]
     return values[order], vectors[:, order]
@@ -76,10 +82,18 @@ def _eigen_inverse(values, vectors):
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """A validated Pearson correlation matrix with variable labels."""
+    """A validated Pearson correlation matrix with variable labels.
+
+    Construction decomposes the matrix once; ``eigenvalues`` (descending)
+    and ``eigenvectors`` (matching orthonormal columns) are kept read-only
+    and reused by :func:`smc`, :func:`kmo`, :func:`bartlett`,
+    :func:`suggest_n_factors` and the first :func:`uls_extract` iterate.
+    """
 
     labels: tuple[str, ...]
     values: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -98,16 +112,18 @@ class CorrelationMatrix:
             raise ValidationError("correlation entries must lie in [-1, 1]")
         v = np.clip(v, -1.0, 1.0)
         np.fill_diagonal(v, 1.0)
-        if p:
-            eigenvalues, _ = symmetric_eigen(v)
-            if eigenvalues[-1] < -1e-8:
-                raise ValidationError(
-                    "matrix is not positive semi-definite "
-                    f"(smallest eigenvalue {eigenvalues[-1]:.3e})"
-                )
-        v.setflags(write=False)
+        eigenvalues, eigenvectors = _sorted_eigh(v)
+        if p and eigenvalues[-1] < -1e-8:
+            raise ValidationError(
+                "matrix is not positive semi-definite "
+                f"(smallest eigenvalue {eigenvalues[-1]:.3e})"
+            )
+        for array in (v, eigenvalues, eigenvectors):
+            array.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def p(self):
@@ -146,9 +162,8 @@ def smc(corr):
     Falls back to the maximum absolute off-diagonal correlation per row when
     R is numerically singular.
     """
-    values, vectors = symmetric_eigen(corr.values)
     try:
-        inv = _eigen_inverse(values, vectors)
+        inv = _eigen_inverse(corr.eigenvalues, corr.eigenvectors)
     except SingularMatrixError:
         off = np.abs(corr.values - np.eye(corr.p))
         return off.max(axis=1)
@@ -178,6 +193,8 @@ class ExtractionSettings:
             raise ValidationError("initial must be 'ones' or 'smc'")
         if not self.tol > 0:
             raise ValidationError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValidationError("max_iter must be >= 1")
 
 
 def _canonicalize(values):
@@ -245,16 +262,17 @@ def uls_extract(corr, settings=ExtractionSettings()):
     m = settings.n_factors
     if not m < p:
         raise ValidationError(f"need n_factors < p (got m={m}, p={p})")
-    if settings.initial == "ones":
-        communalities = np.ones(p)
-    else:
-        communalities = np.clip(smc(corr), 0.0, 1.0)
+    ones = settings.initial == "ones"
+    communalities = np.ones(p) if ones else np.clip(smc(corr), 0.0, 1.0)
     reduced = np.array(corr.values)
-    loadings = None
     warned = False
-    for iteration in range(1, settings.max_iter + 1):
-        np.fill_diagonal(reduced, communalities)
-        values, vectors = symmetric_eigen(reduced)
+    for iteration in range(settings.max_iter):
+        if iteration == 0 and ones:
+            # unit communalities leave R itself as the reduced matrix
+            values, vectors = corr.eigenvalues, corr.eigenvectors
+        else:
+            np.fill_diagonal(reduced, communalities)
+            values, vectors = _sorted_eigh(reduced)
         top = np.sqrt(np.clip(values[:m], 0.0, None))
         loadings = vectors[:, :m] * top
         updated = (loadings**2).sum(axis=1)
@@ -393,7 +411,7 @@ def promax(varimax_loadings, kappa=3):
 
     target = np.sign(normalized) * np.abs(normalized) ** kappa
     gram = normalized.T @ normalized
-    gram_values, gram_vectors = symmetric_eigen(gram)
+    gram_values, gram_vectors = _sorted_eigh(gram)
     if gram_values[-1] <= _RELATIVE_RANK_TOL * gram_values[0]:
         raise SingularMatrixError("varimax loadings are rank deficient")
     transform = _eigen_inverse(gram_values, gram_vectors) @ normalized.T @ target
@@ -431,8 +449,7 @@ def kmo(corr):
     Compares the squared observed correlations with the squared anti-image
     partial correlations derived from R^-1.
     """
-    values, vectors = symmetric_eigen(corr.values)
-    inverse = _eigen_inverse(values, vectors)
+    inverse = _eigen_inverse(corr.eigenvalues, corr.eigenvectors)
     d = np.sqrt(np.diag(inverse))
     partial = -inverse / np.outer(d, d)
     off = ~np.eye(corr.p, dtype=bool)
@@ -454,10 +471,9 @@ def bartlett(corr, n_obs):
     p = corr.p
     if n_obs <= p:
         raise InsufficientDataError("need more observations than variables")
-    values, _ = symmetric_eigen(corr.values)
-    if values[-1] <= 0.0:
+    if corr.eigenvalues[-1] <= 0.0:
         raise SingularMatrixError("determinant of R is not positive")
-    log_det = float(np.log(values).sum())
+    log_det = float(np.log(corr.eigenvalues).sum())
     chi2 = -(n_obs - 1 - (2 * p + 5) / 6.0) * log_det
     df = p * (p - 1) // 2
     p_value = float(gammaincc(df / 2.0, max(chi2, 0.0) / 2.0)) if df else 1.0
@@ -474,14 +490,19 @@ def adequacy(corr, n_obs):
 
 def suggest_n_factors(corr):
     """Number of correlation-matrix eigenvalues greater than 1."""
-    values, _ = symmetric_eigen(corr.values)
-    return int((values > 1.0).sum())
+    return int((corr.eigenvalues > 1.0).sum())
 
 
 @dataclass(frozen=True)
 class EFAResult:
-    """Everything the extraction + rotation pipeline produces."""
+    """Everything the extraction + rotation pipeline produces.
 
+    ``correlation`` is the matrix the loadings were extracted from, i.e.
+    the correlations of the transformed columns; adequacy measures and a
+    confirmatory follow-up can reuse it as is.
+    """
+
+    correlation: CorrelationMatrix
     unrotated: LoadingMatrix
     rotated: LoadingMatrix
     communalities: np.ndarray
@@ -521,6 +542,7 @@ def efa_pipeline(
     Returns
     -------
     EFAResult
+        ``correlation`` holds the correlations of the transformed columns.
         ``ss_loadings`` are column sums of squares of the rotated loadings
         (of the structure matrix for promax, whose per-factor sums overlap
         and may exceed the number of variables); ``variance_explained`` is
@@ -550,6 +572,7 @@ def efa_pipeline(
         ss = (structure**2).sum(axis=0)
 
     return EFAResult(
+        correlation=corr,
         unrotated=unrotated,
         rotated=rotated,
         communalities=communalities,

@@ -159,23 +159,44 @@ def _h_core(rec):
     return rec.counts[:h]
 
 
+# Formulas on a known h-core: indicator_set finds h once and calls them directly.
+def _core_mean(core):
+    return sum(core) / len(core)
+
+
+def _core_median(core):
+    return float(statistics.median(core))
+
+
+def _core_root(core):
+    return math.sqrt(sum(core))
+
+
+def _hw_from(counts, h):
+    cumulative = 0
+    core_sum = 0
+    for count in counts:
+        cumulative += count
+        if cumulative / h <= count:
+            core_sum = cumulative
+        else:
+            break
+    return math.sqrt(core_sum)
+
+
 def a_index(rec):
     """Mean number of citations of the papers in the h-core."""
-    core = _h_core(rec)
-    return sum(core) / len(core)
+    return _core_mean(_h_core(rec))
 
 
 def m_index(rec):
     """Median number of citations of the papers in the h-core."""
-    return float(statistics.median(_h_core(rec)))
+    return _core_median(_h_core(rec))
 
 
 def r_index(rec):
     """Square root of the total citations of the h-core; 0 when h = 0."""
-    h = h_index(rec)
-    if h == 0:
-        return 0.0
-    return math.sqrt(sum(rec.counts[:h]))
+    return _core_root(rec.counts[:h_index(rec)])
 
 
 def hw_index(rec):
@@ -186,18 +207,7 @@ def hw_index(rec):
     root of the citations collected by those r0 papers. r_w is increasing
     while the counts are non-increasing, so the first failure is final.
     """
-    h = h_index(rec)
-    if h == 0:
-        raise EmptyCoreError(f"record {rec.label!r}: h = 0, the h-core is empty")
-    cumulative = 0
-    core_sum = 0
-    for rank, count in enumerate(rec.counts, start=1):
-        cumulative += count
-        if cumulative / h <= count:
-            core_sum = cumulative
-        else:
-            break
-    return math.sqrt(core_sum)
+    return _hw_from(rec.counts, len(_h_core(rec)))
 
 
 def totals(rec):
@@ -225,14 +235,15 @@ def indicator_set(rec, convention=GConvention.PADDED):
             h=0, h2=0, g=g_index(rec, convention), a=0.0, m=0.0, r=0.0,
             hw=0.0, n=n, s=s, c=(s / n if n else 0.0), empty_core=True,
         )
+    core = rec.counts[:h]
     return IndicatorSet(
         h=h,
         h2=h2_index(rec),
         g=g_index(rec, convention),
-        a=a_index(rec),
-        m=m_index(rec),
-        r=r_index(rec),
-        hw=hw_index(rec),
+        a=_core_mean(core),
+        m=_core_median(core),
+        r=_core_root(core),
+        hw=_hw_from(rec.counts, h),
         n=n,
         s=s,
         c=s / n,

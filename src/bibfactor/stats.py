@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln, kolmogorov, ndtr, stdtr
 
 from .errors import InsufficientDataError, ValidationError, ZeroVarianceError
 
@@ -119,18 +119,15 @@ def describe(values):
 
 
 def normal_cdf(z):
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    """Standard normal CDF, element-wise."""
+    return ndtr(z)
 
 
 def student_cdf(x, df):
-    """CDF of the standard Student t via the regularized incomplete beta."""
+    """CDF of the standard Student t with ``df`` degrees of freedom, element-wise."""
     if df <= 0:
         raise ValidationError("df must be positive")
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * betainc(df / 2.0, 0.5, df / (df + x * x))
-    return 1.0 - tail if x > 0 else tail
+    return stdtr(df, x)
 
 
 def _student_logpdf(z, df):
@@ -231,34 +228,11 @@ def fit_distspec(values, family, df=None):
 
 
 def kolmogorov_sf(lam):
-    """Survival function of the Kolmogorov distribution.
+    """Survival function of the Kolmogorov distribution, element-wise.
 
-    Alternating series 2 * sum_k (-1)**(k-1) exp(-2 k**2 lam**2), truncated
-    when a term drops below 1e-12 or after 100 terms, clamped into (0, 1].
-    Below lam = 0.75 the alternating series converges too slowly, so the
-    equivalent theta-function form is used there instead.
+    Clamped into [1e-300, 1] so that a p-value is never exactly zero.
     """
-    if lam <= 0.0:
-        return 1.0
-    if lam < 0.75:
-        # 1 - sqrt(2 pi)/lam * sum over odd k of exp(-k^2 pi^2 / (8 lam^2))
-        total = 0.0
-        for k in range(1, 201, 2):
-            term = math.exp(-k * k * math.pi**2 / (8.0 * lam * lam))
-            total += term
-            if term < 1e-14:
-                break
-        q = 1.0 - math.sqrt(2.0 * math.pi) / lam * total
-        return min(1.0, max(q, 1e-300))
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-12:
-            break
-        sign = -sign
-    return min(1.0, max(2.0 * total, 1e-300))
+    return np.clip(kolmogorov(lam), 1e-300, 1.0)
 
 
 def ks_test(values, ref):
@@ -282,9 +256,9 @@ def ks_test(values, ref):
     n = x.size
     if n < 1:
         raise InsufficientDataError("need at least 1 observation")
-    cdf = np.array([ref.cdf(v) for v in x])
+    cdf = ref.cdf(x)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     d = float(max(np.max(upper - cdf), np.max(cdf - lower)))
     d = min(max(d, 0.0), 1.0)
-    return KSResult(d=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
+    return KSResult(d=d, p_value=float(kolmogorov_sf(math.sqrt(n) * d)))

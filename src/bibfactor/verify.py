@@ -21,11 +21,11 @@ from .efa import (
     ExtractionSettings,
     LoadingMatrix,
     align_loadings,
+    bartlett,
     categorize,
-    correlation_matrix,
     efa_pipeline,
     kmo,
-    bartlett,
+    promax,
 )
 from .stats import Transform, apply_transform, describe, fit_distspec, ks_test
 from .tables import VARIABLE_SETS
@@ -186,18 +186,10 @@ def _check_descriptives(report, table, scale):
                       "is reconstructed")
 
 
-def _transformed_corr(table, variables, transform):
-    columns = [
-        apply_transform(table.column(v), transform) for v in variables
-    ]
-    return correlation_matrix(np.column_stack(columns), variables)
-
-
-def _check_adequacy(report, table, scale):
+def _check_adequacy(report, table, scale, results):
     variables = VARIABLE_SETS["7"]
     for key, expected in fx.KMO_TABLE2.items():
-        transform = Transform(key)
-        corr = _transformed_corr(table, variables, transform)
+        corr = results[(variables, key)].correlation
         _num(report, "table2", f"KMO {key}", expected, kmo(corr),
              fx.TOLERANCES["kmo"] * scale)
         _, _, p_value = bartlett(corr, table.n_rows)
@@ -205,7 +197,7 @@ def _check_adequacy(report, table, scale):
               f"< {fx.TOLERANCES['bartlett_p_max']}",
               f"{p_value:.3g}", p_value < fx.TOLERANCES["bartlett_p_max"])
     for (set_name, key), expected in fx.KMO_EXPANDED.items():
-        corr = _transformed_corr(table, VARIABLE_SETS[set_name], Transform(key))
+        corr = results[(VARIABLE_SETS[set_name], key)].correlation
         _num(report, "table2x", f"KMO {set_name} {key}", expected, kmo(corr),
              fx.TOLERANCES["kmo"] * scale, binding=False,
              note="prose value for the expanded model")
@@ -216,12 +208,12 @@ def _reference_matrix(variables, cells, rotation):
     return LoadingMatrix(tuple(variables), values, rotation=rotation)
 
 
-def _check_varimax_tables(report, table, scale, results):
+def _check_varimax_tables(report, scale, results):
     tol = fx.TOLERANCES["loading"] * scale
     for table_id, spec in fx.VARIMAX_TABLES.items():
         variables = spec["variables"]
         for key, cells in spec["loadings"].items():
-            result = results[(variables, key, "varimax")]
+            result = results[(variables, key)]
             reference = _reference_matrix(variables, cells, "varimax")
             aligned = align_loadings(result.rotated, reference)
             for i, v in enumerate(variables):
@@ -235,31 +227,33 @@ def _check_varimax_tables(report, table, scale, results):
                          float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
 
 
-def _check_promax_tables(report, table, scale, results):
+def _check_promax_tables(report, scale, results):
     tol = fx.TOLERANCES["promax"] * scale
     for table_id, spec in fx.PROMAX_TABLES.items():
         variables = spec["variables"]
         for key, cells in spec["loadings"].items():
-            result = results[(variables, key, "promax")]
+            # promax starts from the varimax solution of the same input
+            varimax_loadings = results[(variables, key)].rotated
+            pattern = promax(varimax_loadings, spec.get("kappa", 3)).pattern
             reference = _reference_matrix(variables, cells, "promax")
-            aligned = align_loadings(result.rotated, reference)
+            aligned = align_loadings(pattern, reference)
             for i, v in enumerate(variables):
                 for j in range(2):
                     _num(report, table_id, f"{v} F{j + 1} {key}",
                          cells[v][j], aligned.values[i, j], tol)
 
 
-def _check_communalities(report, table, scale, results):
+def _check_communalities(report, scale, results):
     for table_id, spec in fx.COMMUNALITY_TABLES.items():
         tol_key = "communality_a4" if table_id == "tableA4" else "communality_a5"
         tol = fx.TOLERANCES[tol_key] * scale
         variables = spec["variables"]
         for key, cells in spec["values"].items():
-            result = results[(variables, key, "varimax")]
+            result = results[(variables, key)]
             for i, v in enumerate(variables):
                 _num(report, table_id, f"{v} {key}", cells[v],
                      float(result.communalities[i]), tol)
-    raw = results[(VARIABLE_SETS["7"], "raw", "varimax")]
+    raw = results[(VARIABLE_SETS["7"], "raw")]
     mean_comm = float(raw.communalities.mean())
     _cond(report, "tableA4", "mean communality raw", ">= 0.97",
           f"{mean_comm:.4f}", mean_comm >= 0.97)
@@ -269,7 +263,7 @@ def _check_variance_explained(report, scale, results):
     tol = fx.TOLERANCES["variance_pct"] * scale
     variables = VARIABLE_SETS["7"]
     for key, expected in fx.VARIANCE_EXPLAINED_PCT.items():
-        result = results[(variables, key, "varimax")]
+        result = results[(variables, key)]
         pct = result.variance_explained * 100.0
         _num(report, "table3", f"variance total {key}", expected["total"],
              float(pct.sum()), tol)
@@ -286,7 +280,7 @@ def _check_variance_explained(report, scale, results):
 
 def _check_categorization(report, results):
     variables = VARIABLE_SETS["7"]
-    result = results[(variables, "raw", "varimax")]
+    result = results[(variables, "raw")]
     reference = _reference_matrix(
         variables, fx.VARIMAX_TABLES["table3"]["loadings"]["raw"], "varimax"
     )
@@ -301,9 +295,9 @@ def _check_categorization(report, results):
                   computed == expected_set)
 
 
-def _check_cfa(report, table, scale):
+def _check_cfa(report, table, scale, results):
     variables = VARIABLE_SETS["7+NC"]
-    corr = _transformed_corr(table, variables, Transform.IDENTITY)
+    corr = results[(variables, "raw")].correlation
     mask = np.zeros((len(variables), 2), dtype=bool)
     for factor, members in fx.CFA_RAW_PATTERN.items():
         for v in members:
@@ -349,35 +343,26 @@ def run_verification(tolerance_scale=1.0, fixture_table=None, include_cfa=True):
     report = VerifyReport()
     scale = float(tolerance_scale)
 
-    _check_consistency(report, table, scale)
-    _check_descriptives(report, table, scale)
-    _check_adequacy(report, table, scale)
-
-    # one pipeline run per (variable set, transform, rotation)
+    # one varimax pipeline per (variable set, transform) of the published
+    # tables; every other check reads its correlation or loadings
     settings = ExtractionSettings()
     results = {}
-
-    def _ensure(variables, key, rotation, kappa=3):
-        cache_key = (variables, key, rotation)
-        if cache_key not in results:
-            values = np.column_stack([table.column(v) for v in variables])
-            results[cache_key] = efa_pipeline(
-                values, variables, Transform(key), settings, rotation,
-                kappa=kappa,
+    for spec in fx.VARIMAX_TABLES.values():
+        variables = spec["variables"]
+        values = np.column_stack([table.column(v) for v in variables])
+        for key in spec["loadings"]:
+            results[(variables, key)] = efa_pipeline(
+                values, variables, Transform(key), settings, "varimax"
             )
 
-    for spec in fx.VARIMAX_TABLES.values():
-        for key in spec["loadings"]:
-            _ensure(spec["variables"], key, "varimax")
-    for spec in fx.PROMAX_TABLES.values():
-        for key in spec["loadings"]:
-            _ensure(spec["variables"], key, "promax", spec.get("kappa", 3))
-
-    _check_varimax_tables(report, table, scale, results)
-    _check_promax_tables(report, table, scale, results)
-    _check_communalities(report, table, scale, results)
+    _check_consistency(report, table, scale)
+    _check_descriptives(report, table, scale)
+    _check_adequacy(report, table, scale, results)
+    _check_varimax_tables(report, scale, results)
+    _check_promax_tables(report, scale, results)
+    _check_communalities(report, scale, results)
     _check_variance_explained(report, scale, results)
     _check_categorization(report, results)
     if include_cfa:
-        _check_cfa(report, table, scale)
+        _check_cfa(report, table, scale, results)
     return report

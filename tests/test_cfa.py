@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from bibfactor import (
     CorrelationMatrix,
@@ -126,6 +127,19 @@ class TestCfaFit:
         fit = cfa_fit(corr, 500, spec)
         assert not fit.heywood.any()
         assert (fit.se[mask] > 0.0).all()
+
+    def test_p_values_keep_precision_in_the_far_tail(self):
+        # 2 * (1 - Phi(|z|)) cancels to 0 beyond |z| ~ 8.3
+        corr, spec, mask, *_ = exact_model(np.random.default_rng(0))
+        fit = cfa_fit(corr, 1000, spec)
+        z = np.abs(fit.z[mask])
+        assert ((z > 9.0) & (z < 35.0)).all()
+        p_values = fit.p_values[mask]
+        assert (p_values > 0.0).all()
+        assert p_values == pytest.approx(
+            2.0 * scipy.special.ndtr(-z), rel=1e-12, abs=0.0
+        )
+        assert np.isnan(fit.p_values[~mask]).all()
 
     def test_factor_relabeling_invariance(self):
         rng = np.random.default_rng(104)

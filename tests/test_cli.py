@@ -38,14 +38,35 @@ class TestIndicesCommand:
         assert (row["N"], row["S"]) == (5, 30)
         assert row["C"] == pytest.approx(6.0)
 
-    def test_g_convention_flag(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command", ["indices", "describe", "efa", "cfa", "bootstrap"]
+    )
+    def test_g_convention_flag(self, capsys, tmp_path, command):
+        extra = {
+            "cfa": ("--assign-max",), "bootstrap": ("--B", "20", "--seed", "3"),
+        }.get(command, ())
+        # x has g = 5 padded but only one paper, so capping changes its g
+        rng = np.random.default_rng(1)
+        lines = ["x,25"]
+        for i in range(24):
+            ranks = np.arange(1, rng.integers(2, 30) + 1)
+            top = rng.lognormal(3.5, 0.8)
+            counts = np.floor(top * ranks ** -rng.uniform(0.3, 1.0)).astype(int)
+            lines.append(f"s{i}," + ",".join(map(str, counts)))
         path = tmp_path / "wide.csv"
-        path.write_text("x,25\n")
-        _, out, _ = run_cli(
-            capsys, "indices", "--input", str(path), "--format", "wide",
-            "--g-convention", "capped", "--json",
-        )
-        assert json.loads(out)["rows"]["x"]["g"] == 1
+        path.write_text("\n".join(lines) + "\n")
+        payloads = {}
+        for convention in ("padded", "capped"):
+            code, out, _ = run_cli(
+                capsys, command, "--input", str(path), "--format", "wide",
+                "--g-convention", convention, *extra, "--json",
+            )
+            assert code == 0
+            payloads[convention] = json.loads(out)
+        assert payloads["capped"] != payloads["padded"]
+        if command == "indices":
+            assert payloads["padded"]["rows"]["x"]["g"] == 5
+            assert payloads["capped"]["rows"]["x"]["g"] == 1
 
     def test_bad_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

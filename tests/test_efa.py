@@ -14,6 +14,7 @@ from bibfactor import (
     Transform,
     ValidationError,
     ZeroVarianceError,
+    adequacy,
     align_loadings,
     bartlett,
     bootstrap_efa,
@@ -29,6 +30,7 @@ from bibfactor import (
     varimax,
 )
 from bibfactor.efa import _varimax_criterion
+from bibfactor.stats import apply_transform
 
 
 def planted_model(rng=None, p=6, m=2, loading=None):
@@ -111,6 +113,33 @@ class TestCorrelationMatrix:
         s = smc(corr)
         assert ((s >= 0.0) & (s <= 1.0)).all()
 
+    def test_kept_eigendecomposition_equals_symmetric_eigen(self, fixture):
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        corr = correlation_matrix(sub.values, sub.columns)
+        values, vectors = symmetric_eigen(corr.values)
+        assert np.array_equal(corr.eigenvalues, values)
+        assert np.array_equal(corr.eigenvectors, vectors)
+        assert not corr.eigenvalues.flags.writeable
+        assert not corr.eigenvectors.flags.writeable
+
+    def test_one_eigendecomposition_per_matrix(self, fixture, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        corr = correlation_matrix(sub.values, sub.columns)
+        smc(corr)
+        kmo(corr)
+        bartlett(corr, sub.n_rows)
+        adequacy(corr, sub.n_rows)
+        suggest_n_factors(corr)
+        assert calls == [(7, 7)]
+
 
 class TestUlsExtract:
     def test_recovers_planted_structure(self):
@@ -154,6 +183,10 @@ class TestUlsExtract:
         loadings, communalities = info.value.last_iterate
         assert loadings.shape == (3, 2)
         assert communalities.shape == (3,)
+
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="max_iter"):
+            ExtractionSettings(max_iter=0)
 
     def test_heywood_clamp_warns(self, fixture):
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw", "N", "S"))
@@ -405,6 +438,14 @@ class TestPipeline:
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
         result = efa_pipeline(sub.values, sub.columns, rotation="none")
         assert result.rotated is result.unrotated
+
+    def test_carries_correlation_of_transformed_columns(self, fixture):
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        result = efa_pipeline(sub.values, sub.columns, Transform.LOG)
+        columns = [apply_transform(sub.column(v), Transform.LOG) for v in sub.columns]
+        want = correlation_matrix(np.column_stack(columns), sub.columns)
+        assert result.correlation.labels == want.labels
+        assert np.array_equal(result.correlation.values, want.values)
 
     def test_unknown_rotation(self, fixture):
         sub = fixture.subset(("h", "m", "g"))
