@@ -1,9 +1,10 @@
 """Confirmatory factor analysis with a fixed loading pattern.
 
 Fits the standardized model Sigma = Lambda Phi Lambda' + Theta by maximum
-likelihood (factor variances fixed to 1, Theta diagonal), with numerical
-gradients and a quasi-Newton search. Standard errors come from the inverse
-of the numerically evaluated information matrix scaled by 2 / (n - 1).
+likelihood (factor variances fixed to 1, Theta diagonal) with a quasi-Newton
+search. One closed-form dSigma/dtheta gives the gradient tr(G dSigma/dtheta_a),
+G = Sigma^-1 - Sigma^-1 S Sigma^-1, and the expected information, whose inverse
+scaled by 2 / (n - 1) gives the standard errors (Joreskog 1969).
 
 The analyzed moment matrix here is a correlation matrix, which is what the
 rest of the pipeline produces; standard errors computed on correlation input
@@ -28,8 +29,6 @@ from .stats import normal_cdf
 
 _THETA_FLOOR = 1e-4
 _PHI_BOUND = 0.999
-_GRAD_STEP = 1e-6
-_HESS_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -137,25 +136,34 @@ class CFAFit:
         return float(np.nanmin(row))
 
 
-def _pack_shapes(spec):
-    n_load = int(spec.loadings_free.sum())
-    pairs = [
-        (i, j)
-        for i in range(spec.m)
-        for j in range(i + 1, spec.m)
-        if spec.phi_free[i, j]
-    ]
-    return n_load, pairs
-
-
 def _unpack(theta, spec, pairs, n_load):
     loadings = np.zeros((spec.p, spec.m))
     loadings[spec.loadings_free] = theta[:n_load]
     phi = np.eye(spec.m)
-    for k, (i, j) in enumerate(pairs):
-        phi[i, j] = phi[j, i] = theta[n_load + k]
-    theta_diag = theta[n_load + len(pairs):]
-    return loadings, phi, theta_diag
+    phi[pairs] = phi[pairs[::-1]] = theta[n_load:-spec.p]
+    return loadings, phi, theta[-spec.p:]
+
+
+def _implied(loadings, phi, uniquenesses):
+    return loadings @ phi @ loadings.T + np.diag(uniquenesses)
+
+
+def _sigma_derivatives(loadings, phi, spec, pairs):
+    """dSigma/dtheta as a (dim, p, p) array, parameters in ``_unpack`` order.
+
+    A free loading lambda_ij gives e_i (Lambda Phi)_j' plus its transpose, a
+    free phi_kl gives Lambda_k Lambda_l' plus its transpose, theta_i gives
+    e_i e_i'.
+    """
+    rows, cols = np.nonzero(spec.loadings_free)
+    eye = np.eye(spec.p)
+    half = np.concatenate([
+        np.einsum("ai,aj->aij", eye[rows], (loadings @ phi).T[cols]),
+        np.einsum("ai,aj->aij", loadings.T[pairs[0]], loadings.T[pairs[1]]),
+    ])
+    return np.concatenate(
+        [half + half.transpose(0, 2, 1), np.einsum("ai,aj->aij", eye, eye)]
+    )
 
 
 def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
@@ -187,44 +195,39 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
     if sign <= 0:
         raise ValidationError("sample matrix must be positive definite")
 
-    n_load, pairs = _pack_shapes(spec)
-    dim = n_load + len(pairs) + p
+    n_load = int(spec.loadings_free.sum())
+    # free phi_ij with i < j in row-major order, theta's middle block
+    pairs = np.nonzero(np.triu(spec.phi_free, 1))
+    n_pairs = pairs[0].size
+    dim = n_load + n_pairs + p
 
-    def discrepancy(theta):
+    def objective(theta):
         loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
-        sigma = loadings @ phi @ loadings.T + np.diag(theta_diag)
+        sigma = _implied(loadings, phi, theta_diag)
         sig, log_det = np.linalg.slogdet(sigma)
         if sig <= 0:
-            return 1e12
+            return 1e12, np.zeros(dim)
         try:
             inv = np.linalg.inv(sigma)
         except np.linalg.LinAlgError:
-            return 1e12
-        return float(log_det + (s * inv).sum() - log_det_s - p)
-
-    def gradient(theta):
-        grad = np.empty(dim)
-        for i in range(dim):
-            step = _GRAD_STEP * (1.0 + abs(theta[i]))
-            plus = theta.copy()
-            plus[i] += step
-            minus = theta.copy()
-            minus[i] -= step
-            grad[i] = (discrepancy(plus) - discrepancy(minus)) / (2.0 * step)
-        return grad
+            return 1e12, np.zeros(dim)
+        value = float(log_det + (s * inv).sum() - log_det_s - p)
+        g = inv - inv @ s @ inv
+        derivatives = _sigma_derivatives(loadings, phi, spec, pairs)
+        return value, np.einsum("ij,aij->a", g, derivatives)
 
     start = np.concatenate(
-        [np.full(n_load, 0.7), np.full(len(pairs), 0.3), np.full(p, 0.5)]
+        [np.full(n_load, 0.7), np.full(n_pairs, 0.3), np.full(p, 0.5)]
     )
     bounds = (
         [(None, None)] * n_load
-        + [(-_PHI_BOUND, _PHI_BOUND)] * len(pairs)
+        + [(-_PHI_BOUND, _PHI_BOUND)] * n_pairs
         + [(_THETA_FLOOR, None)] * p
     )
     result = minimize(
-        discrepancy,
+        objective,
         start,
-        jac=gradient,
+        jac=True,
         method="L-BFGS-B",
         bounds=bounds,
         options={"maxiter": max_iter, "ftol": ftol, "gtol": gtol},
@@ -235,8 +238,7 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
             last_iterate=result.x,
         )
 
-    theta = result.x
-    loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
+    loadings, phi, theta_diag = _unpack(result.x, spec, pairs, n_load)
     heywood = theta_diag <= _THETA_FLOOR * (1.0 + 1e-6)
     if heywood.any():
         warnings.warn(
@@ -245,33 +247,22 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
             stacklevel=2,
         )
 
-    hessian = np.empty((dim, dim))
-    for i in range(dim):
-        step = _HESS_STEP * (1.0 + abs(theta[i]))
-        plus = theta.copy()
-        plus[i] += step
-        minus = theta.copy()
-        minus[i] -= step
-        hessian[:, i] = (gradient(plus) - gradient(minus)) / (2.0 * step)
-    hessian = (hessian + hessian.T) / 2.0
     try:
-        covariance = np.linalg.inv(hessian) * 2.0 / (n_obs - 1)
+        weighted = np.linalg.inv(_implied(loadings, phi, theta_diag)) @ (
+            _sigma_derivatives(loadings, phi, spec, pairs)
+        )
+        information = np.einsum("aij,bji->ab", weighted, weighted)
+        covariance = np.linalg.inv(information) * 2.0 / (n_obs - 1)
         se_vector = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     except np.linalg.LinAlgError:
         se_vector = np.full(dim, np.nan)
 
     se = np.full((p, spec.m), np.nan)
-    z = np.full((p, spec.m), np.nan)
-    p_values = np.full((p, spec.m), np.nan)
     se[spec.loadings_free] = se_vector[:n_load]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z[spec.loadings_free] = np.where(
-            se_vector[:n_load] > 0,
-            theta[:n_load] / se_vector[:n_load],
-            np.nan,
-        )
+        z = np.where(se > 0, loadings / se, np.nan)
     # the lower tail keeps precision where 1 - Phi(|z|) would cancel to 0
-    p_values[spec.loadings_free] = 2.0 * normal_cdf(-np.abs(z[spec.loadings_free]))
+    p_values = 2.0 * normal_cdf(-np.abs(z))
 
     return CFAFit(
         labels=spec.labels,
@@ -291,4 +282,4 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
 
 def model_implied(fit):
     """Sigma(theta) for a fitted model."""
-    return fit.loadings @ fit.phi @ fit.loadings.T + np.diag(fit.uniquenesses)
+    return _implied(fit.loadings, fit.phi, fit.uniquenesses)

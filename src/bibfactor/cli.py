@@ -7,7 +7,8 @@ Subcommands: ``indices`` (citation records to an indicator table),
 loading summaries) and ``verify`` (the published-table regression harness).
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input or usage
-errors. Diagnostics go to stderr.
+errors and on a confirmatory fit that does not converge. Diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .efa import (
     categorize,
     efa_pipeline,
 )
-from .errors import BibfactorError
+from .errors import BibfactorError, ConvergenceError
 from .fixture import fixture_table
 from .indices import GConvention
 from .stats import Transform, apply_transform, describe, fit_distspec, ks_test
@@ -302,6 +303,11 @@ def _cmd_cfa(args):
     spec = pattern_from_efa(efa.rotated, threshold=args.threshold,
                             assign_max=args.assign_max)
     fit = cfa_fit(efa.correlation, len(values), spec)
+    if not fit.converged:
+        raise ConvergenceError(
+            f"the confirmatory fit did not converge in {fit.iterations} "
+            f"iterations (discrepancy {fit.discrepancy:.6g})"
+        )
 
     def as_text():
         rows = []

@@ -213,10 +213,18 @@ def parse_citations(stream, fmt="long"):
 
 
 def table_from_records(records, convention=GConvention.PADDED):
-    """Compute the full indicator table for a list of citation records."""
+    """Compute the full indicator table for a list of citation records.
+
+    A record with no papers raises ``ValidationError``: its C = S/N is
+    undefined.
+    """
     labels = [rec.label for rec in records]
     rows = []
     for rec in records:
+        if rec.n_papers == 0:
+            raise ValidationError(
+                f"record {rec.label!r} has no papers; C = S/N is undefined"
+            )
         indicators = indicator_set(rec, convention)
         mapping = indicators.as_dict()
         rows.append([mapping[c] for c in INDICATOR_COLUMNS])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,19 +93,7 @@ class VerifyReport:
             "n_binding": self.n_binding,
             "n_binding_failed": self.n_binding_failed,
             "n_reported": self.n_reported,
-            "checks": [
-                {
-                    "table": c.table,
-                    "cell": c.cell,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "binding": c.binding,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self):
@@ -322,7 +310,7 @@ def _check_cfa(report, table, scale, results):
               note="diagnostic; standard errors on correlation input differ")
 
 
-def run_verification(tolerance_scale=1.0, fixture_table=None, include_cfa=True):
+def run_verification(tolerance_scale=1.0, fixture_table=None):
     """Recompute every published expected value and compare within tolerance.
 
     Parameters
@@ -332,8 +320,6 @@ def run_verification(tolerance_scale=1.0, fixture_table=None, include_cfa=True):
     fixture_table : IndicatorTable, optional
         Replacement dataset, used by sensitivity tests. Defaults to the
         embedded fixture.
-    include_cfa : bool
-        Skip the (slower) confirmatory fit when False.
 
     Returns
     -------
@@ -363,6 +349,5 @@ def run_verification(tolerance_scale=1.0, fixture_table=None, include_cfa=True):
     _check_communalities(report, scale, results)
     _check_variance_explained(report, scale, results)
     _check_categorization(report, results)
-    if include_cfa:
-        _check_cfa(report, table, scale, results)
+    _check_cfa(report, table, scale, results)
     return report

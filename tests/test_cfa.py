@@ -11,7 +11,12 @@ from bibfactor import (
     cfa_fit,
     pattern_from_efa,
 )
+from bibfactor import cfa as cfa_mod
 from bibfactor.cfa import PatternSpec, model_implied
+from bibfactor.efa import ExtractionSettings, efa_pipeline
+from bibfactor.fixture import CFA_RAW_PATTERN, fixture_table
+from bibfactor.stats import Transform
+from bibfactor.tables import VARIABLE_SETS
 
 
 def simple_mask(p, m):
@@ -37,6 +42,61 @@ def exact_model(rng, p=6, m=2):
     corr = CorrelationMatrix(labels, sigma)
     spec = PatternSpec(labels, mask, ~np.eye(m, dtype=bool))
     return corr, spec, mask, loadings, phi, uniquenesses
+
+
+def criterion_12_models():
+    """The 50 exact-fit two-factor models of acceptance criterion 12."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p = int(rng.integers(6, 10))
+        mask = simple_mask(p, 2)
+        loadings = np.zeros((p, 2))
+        loadings[mask] = rng.uniform(0.4, 0.9, size=p)
+        phi_offdiag = float(rng.uniform(-0.5, 0.5))
+        phi = np.array([[1.0, phi_offdiag], [phi_offdiag, 1.0]])
+        sigma = loadings @ phi @ loadings.T
+        np.fill_diagonal(sigma, 1.0)
+        labels = tuple(f"v{i}" for i in range(p))
+        yield (
+            CorrelationMatrix(labels, sigma),
+            PatternSpec(labels, mask, ~np.eye(2, dtype=bool)),
+        )
+
+
+def fit_with_objective(monkeypatch, corr, n_obs, spec):
+    """Fit, and return the fit with the (F, gradient) objective it minimized."""
+    seen = {}
+    real = cfa_mod.minimize
+
+    def spy(fun, x0, **kwargs):
+        seen["objective"] = fun
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(cfa_mod, "minimize", spy)
+    fit = cfa_fit(corr, n_obs, spec)
+    return fit, seen["objective"]
+
+
+def packed(fit, spec):
+    """The fitted parameter vector, in the order the objective takes it."""
+    pairs = [
+        fit.phi[i, j]
+        for i in range(spec.m)
+        for j in range(i + 1, spec.m)
+        if spec.phi_free[i, j]
+    ]
+    return np.concatenate([fit.loadings[spec.loadings_free], pairs, fit.uniquenesses])
+
+
+def central_difference(fn, theta, rel_step):
+    columns = []
+    for i in range(theta.size):
+        step = rel_step * (1.0 + abs(theta[i]))
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        columns.append((np.asarray(fn(plus)) - np.asarray(fn(minus))) / (2.0 * step))
+    return np.array(columns).T
 
 
 class TestPatternSpec:
@@ -88,6 +148,64 @@ class TestPatternFromEfa:
         loadings = LoadingMatrix(tuple("abcd"), np.zeros((4, 2)), rotation="varimax")
         with pytest.raises(SpecificationError):
             pattern_from_efa(loadings, threshold=0.3)
+
+
+class TestAnalyticDerivatives:
+    def test_gradient_matches_central_differences(self, monkeypatch):
+        # three factors with a cross-loading exercise every block of the
+        # dSigma/dtheta array; the sample matrix is off the model so G != 0
+        rng = np.random.default_rng(7)
+        labels = tuple(f"v{i}" for i in range(7))
+        mask = simple_mask(7, 3)
+        mask[0, 1] = True
+        spec = PatternSpec(labels, mask, ~np.eye(3, dtype=bool))
+        data = rng.normal(size=(60, 7)) + rng.normal(size=(60, 1))
+        corr = CorrelationMatrix(labels, np.corrcoef(data, rowvar=False))
+        _, objective = fit_with_objective(monkeypatch, corr, 60, spec)
+        for _ in range(20):
+            theta = np.concatenate([
+                rng.uniform(0.3, 0.9, int(mask.sum())),
+                rng.uniform(-0.3, 0.3, 3),
+                rng.uniform(0.2, 0.8, 7),
+            ])
+            value, grad = objective(theta)
+            assert value < 1e12
+            numeric = central_difference(lambda t: objective(t)[0], theta, 1e-6)
+            assert np.abs(grad - numeric).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+    def test_expected_information_ses_match_observed_at_exact_fit(self, monkeypatch):
+        # at S = Sigma(theta) the Hessian of F is the expected information,
+        # so the standard errors must agree with the observed-information ones
+        n_obs = 200
+        for corr, spec in criterion_12_models():
+            fit, objective = fit_with_objective(monkeypatch, corr, n_obs, spec)
+            hessian = central_difference(
+                lambda t: objective(t)[1], packed(fit, spec), 1e-5
+            )
+            covariance = np.linalg.inv((hessian + hessian.T) / 2.0) * 2.0 / (n_obs - 1)
+            observed = np.sqrt(np.diag(covariance))[: int(spec.loadings_free.sum())]
+            assert fit.se[spec.loadings_free] == pytest.approx(observed, rel=1e-4)
+
+    @pytest.mark.filterwarnings("ignore:communality exceeded")
+    def test_fixture_fit(self):
+        # the paper's confirmatory follow-up: 7+NC, raw, the published pattern
+        variables = VARIABLE_SETS["7+NC"]
+        table = fixture_table()
+        values = np.column_stack([table.column(v) for v in variables])
+        corr = efa_pipeline(
+            values, variables, Transform("raw"), ExtractionSettings(), "varimax"
+        ).correlation
+        mask = np.zeros((len(variables), 2), dtype=bool)
+        for factor, members in CFA_RAW_PATTERN.items():
+            for v in members:
+                mask[variables.index(v), factor - 1] = True
+        spec = PatternSpec(variables, mask, ~np.eye(2, dtype=bool))
+        with pytest.warns(HeywoodWarning):
+            fit = cfa_fit(corr, table.n_rows, spec)
+        assert fit.converged
+        # F of the finite-difference fit this one replaced
+        assert fit.discrepancy == pytest.approx(7.5232728778677895, abs=1e-6)
+        assert [v for v, flag in zip(variables, fit.heywood) if flag] == ["A"]
 
 
 class TestCfaFit:

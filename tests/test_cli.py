@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bibfactor import cli
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
 
@@ -74,6 +76,16 @@ class TestIndicesCommand:
         code, _, err = run_cli(capsys, "indices", "--input", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_record_without_papers_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,3,10,5\nx,\n")
+        code, out, err = run_cli(
+            capsys, "indices", "--input", str(path), "--format", "wide"
+        )
+        assert code == 2
+        assert out == ""
+        assert "'x'" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--input", "/no/such/file.csv")
@@ -177,6 +189,19 @@ class TestCfaCommand:
         variables = payload["variables"]
         r2 = dict(zip(variables, payload["r_squared"]))
         assert r2["h"] == pytest.approx(0.94, abs=0.1)
+
+    def test_non_converged_fit_exits_2(self, capsys, monkeypatch):
+        real = cli.cfa_fit
+        monkeypatch.setattr(
+            cli, "cfa_fit",
+            lambda *args: dataclasses.replace(real(*args), converged=False),
+        )
+        code, out, err = run_cli(
+            capsys, "cfa", "--fixture", "--vars", "7+NC", "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "did not converge" in err
 
     def test_threshold_too_high_exits_2(self, capsys):
         code, _, err = run_cli(

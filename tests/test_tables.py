@@ -131,6 +131,12 @@ class TestTableFromRecords:
         capped = table_from_records(records, GConvention.CAPPED)
         assert capped.column("g")[1] == 1.0
 
+    def test_record_without_papers_rejected(self, five_paper_record):
+        # C = S/N is undefined, so no row of zeros may stand in for it
+        records = [five_paper_record, normalize_record("empty", [])]
+        with pytest.raises(ValidationError, match="'empty'"):
+            table_from_records(records)
+
 
 class TestRendering:
     def test_format_number_half_even(self):

@@ -26,8 +26,8 @@ class TestVerify:
         assert len(payload["checks"]) == len(verification_report.checks)
 
     def test_deterministic(self):
-        a = run_verification(include_cfa=False).to_dict()
-        b = run_verification(include_cfa=False).to_dict()
+        a = run_verification().to_dict()
+        b = run_verification().to_dict()
         assert a == b
 
     def test_perturbed_cell_fails_only_its_checks(self):
@@ -35,21 +35,17 @@ class TestVerify:
         # identity of that row, small enough to leave the factor models
         # inside their bands
         table = perturbed_fixture("D", "S", 2100)
-        report = run_verification(fixture_table=table, include_cfa=False)
+        report = run_verification(fixture_table=table)
         failures = report.failures()
         assert not report.overall_pass
         assert [f.cell for f in failures] == ["D: C vs S/N"]
 
     def test_zero_tolerance_fails_rounded_cells(self):
-        report = run_verification(tolerance_scale=0.0, include_cfa=False)
+        report = run_verification(tolerance_scale=0.0)
         assert not report.overall_pass
         assert report.n_binding_failed > 100
         # exactly reported values (integer medians and the like) still pass
         assert report.n_binding_failed < report.n_binding
-
-    def test_cfa_section_optional(self):
-        report = run_verification(include_cfa=False)
-        assert not any(c.table == "tableA7" for c in report.checks)
 
     def test_format_lines_summary(self, verification_report):
         lines = verification_report.format_lines()
