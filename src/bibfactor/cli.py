@@ -32,7 +32,7 @@ from .efa import (
 from .errors import BibfactorError, ConvergenceError
 from .fixture import fixture_table
 from .indices import GConvention
-from .stats import Transform, apply_transform, describe, fit_distspec, ks_test
+from .stats import Transform, apply_transform, column_summary
 from .tables import (
     INDICATOR_COLUMNS,
     VARIABLE_SETS,
@@ -111,7 +111,7 @@ def _load_table(args):
 
 
 def _model_input(args):
-    """Columns, labels, transform and settings of the efa/cfa/bootstrap run."""
+    """Columns, labels, transform and settings of a describe/efa/cfa/bootstrap run."""
     table = _load_table(args)
     variables = _resolve_vars(args.vars)
     transform = Transform(args.transform)
@@ -164,26 +164,12 @@ _DESCRIBE_ROWS = (
 )
 
 
-def _describe_stats(table, variables, transform, df):
-    stats = {}
-    for v in variables:
-        x = apply_transform(table.column(v), transform)
-        d = describe(x)
-        ks_n = ks_test(x, fit_distspec(x, "normal"))
-        ks_s = ks_test(x, fit_distspec(x, "student", df=df))
-        stats[v] = {
-            "mean": d.mean, "median": d.median, "sd": d.sd,
-            "D_normal": ks_n.d, "p_normal": ks_n.p_value,
-            "D_student": ks_s.d, "p_student": ks_s.p_value,
-        }
-    return stats
-
-
 def _cmd_describe(args):
-    table = _load_table(args)
-    variables = _resolve_vars(args.vars)
-    transform = Transform(args.transform)
-    stats = _describe_stats(table, variables, transform, args.df)
+    values, variables, transform, _ = _model_input(args)
+    stats = {
+        v: column_summary(apply_transform(values[:, j], transform), args.df)
+        for j, v in enumerate(variables)
+    }
 
     def as_text():
         rows = [

@@ -134,63 +134,66 @@ def _student_logpdf(z, df):
     return (
         gammaln((df + 1.0) / 2.0)
         - gammaln(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
+        - 0.5 * np.log(df * math.pi)
         - (df + 1.0) / 2.0 * np.log1p(z * z / df)
     )
 
 
-# Profile grid for the maximum-likelihood Student fit. The likelihood of a
-# t with free (df, location, scale) is unbounded on tied data (scale -> 0
-# around a repeated value), so candidates whose fitted scale collapses below
-# a fraction of the sample sd are rejected as degenerate.
+# df grid, degenerate-scale guard and EM stop rule of fit_student_ml
 _STUDENT_DF_GRID = np.exp(np.linspace(math.log(1.0), math.log(1000.0), 200))
 _MIN_SCALE_FRACTION = 0.25
+_EM_TOL = 1e-10
+_EM_MAX_ITER = 500
 
 
-def _student_location_scale(x, df, tol=1e-10, max_iter=500):
-    # EM iteration for ML location/scale at fixed df.
-    mu = float(np.median(x))
-    sigma = float(x.std(ddof=1))
-    for _ in range(max_iter):
-        z = (x - mu) / sigma
-        w = (df + 1.0) / (df + z * z)
-        mu_new = float(np.sum(w * x) / np.sum(w))
-        sigma_new = math.sqrt(float(np.sum(w * (x - mu_new) ** 2) / x.size))
-        done = (
-            abs(mu_new - mu) < tol * (1.0 + abs(mu))
-            and abs(sigma_new - sigma) < tol * (1.0 + sigma)
-        )
-        mu, sigma = mu_new, sigma_new
-        if done:
-            break
-    return mu, sigma
-
-
-def fit_student_ml(values):
-    """Maximum-likelihood Student fit of (df, location, scale).
-
-    Profiles df over a fixed logarithmic grid, estimating location and scale
-    by EM at each candidate, and keeps the best non-degenerate candidate.
-    Deterministic for a given sample.
-    """
+def _sample(values):
+    """The sample as a float array and its sd; needs n >= 2 and sd > 0."""
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise InsufficientDataError("need at least 2 observations")
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise ZeroVarianceError("sample is constant; cannot fit a scale")
-    best = None
-    for df in _STUDENT_DF_GRID:
-        mu, sigma = _student_location_scale(x, df)
-        if sigma < _MIN_SCALE_FRACTION * sd:
-            continue
-        loglik = float(np.sum(_student_logpdf((x - mu) / sigma, df))) - x.size * math.log(sigma)
-        if best is None or loglik > best[0]:
-            best = (loglik, df, mu, sigma)
-    if best is None:
+    return x, sd
+
+
+def fit_student_ml(values):
+    """Maximum-likelihood Student fit of (df, location, scale).
+
+    Profiles df over 200 log-spaced values on [1, 1000]. Location and scale
+    at each df come from EM (Lange, Little & Taylor 1989), started at the
+    median and the sample sd; all candidates iterate together, and each
+    stops once both change by less than 1e-10 * (1 + |value|), or after 500
+    iterations. The likelihood is unbounded on tied data (scale -> 0 around
+    a repeated value), so candidates with scale below 0.25 * sd are rejected
+    as degenerate; the first of highest log-likelihood among the rest wins.
+    """
+    x, sd = _sample(values)
+    df = _STUDENT_DF_GRID
+    mu = np.full(df.size, float(np.median(x)))
+    sigma = np.full(df.size, sd)
+    active = np.arange(df.size)
+    for _ in range(_EM_MAX_ITER):
+        d, m, s = df[active, None], mu[active], sigma[active]
+        w = (d + 1.0) / (d + ((x - m[:, None]) / s[:, None]) ** 2)
+        m_new = np.sum(w * x, axis=1) / np.sum(w, axis=1)
+        w *= (x - m_new[:, None]) ** 2
+        s_new = np.sqrt(np.sum(w, axis=1) / x.size)
+        done = (np.abs(m_new - m) < _EM_TOL * (1.0 + np.abs(m))) & (
+            np.abs(s_new - s) < _EM_TOL * (1.0 + s)
+        )
+        mu[active], sigma[active] = m_new, s_new
+        active = active[~done]
+        if not active.size:
+            break
+    z = (x - mu[:, None]) / sigma[:, None]
+    loglik = np.sum(_student_logpdf(z, df[:, None]), axis=1) - x.size * np.log(sigma)
+    rejected = sigma < _MIN_SCALE_FRACTION * sd
+    if rejected.all():
         raise ZeroVarianceError("no admissible Student fit for this sample")
-    _, df, mu, sigma = best
-    return DistSpec(family="student", location=mu, scale=sigma, df=float(df))
+    best = int(np.argmax(np.where(rejected, -np.inf, loglik)))
+    return DistSpec(family="student", location=float(mu[best]),
+                    scale=float(sigma[best]), df=float(df[best]))
 
 
 def fit_distspec(values, family, df=None):
@@ -212,12 +215,7 @@ def fit_distspec(values, family, df=None):
     -------
     DistSpec
     """
-    x = np.asarray(values, dtype=float)
-    if x.size < 2:
-        raise InsufficientDataError("need at least 2 observations")
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
-        raise ZeroVarianceError("sample is constant; cannot fit a scale")
+    x, sd = _sample(values)
     if family == "normal":
         return DistSpec(family="normal", location=float(x.mean()), scale=sd)
     if family == "student":
@@ -262,3 +260,22 @@ def ks_test(values, ref):
     d = float(max(np.max(upper - cdf), np.max(cdf - lower)))
     d = min(max(d, 0.0), 1.0)
     return KSResult(d=d, p_value=float(kolmogorov_sf(math.sqrt(n) * d)))
+
+
+def column_summary(values, df=None):
+    """One row of the descriptive tables for a (transformed) sample.
+
+    A dict of ``mean``, ``median`` and ``sd`` from :func:`describe`, then
+    the KS statistic and p-value against the fitted normal (``D_normal``,
+    ``p_normal``) and Student (``D_student``, ``p_student``) references, in
+    that order. ``df`` fixes the Student df as in :func:`fit_distspec`; by
+    default all three Student parameters are fitted by maximum likelihood.
+    """
+    d = describe(values)
+    ks_n = ks_test(values, fit_distspec(values, "normal"))
+    ks_s = ks_test(values, fit_distspec(values, "student", df=df))
+    return {
+        "mean": d.mean, "median": d.median, "sd": d.sd,
+        "D_normal": ks_n.d, "p_normal": ks_n.p_value,
+        "D_student": ks_s.d, "p_student": ks_s.p_value,
+    }

@@ -85,9 +85,12 @@ def _canonical_column(name, line=None):
 
 def _parse_cell(text, line):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric cell {text!r}", line=line) from None
+    if not np.isfinite(value):
+        raise ParseError(f"non-finite cell {text!r}", line=line)
+    return value
 
 
 def parse_indicator_table(stream):

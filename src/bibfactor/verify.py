@@ -27,7 +27,7 @@ from .efa import (
     kmo,
     promax,
 )
-from .stats import Transform, apply_transform, describe, fit_distspec, ks_test
+from .stats import Transform, apply_transform, column_summary
 from .tables import VARIABLE_SETS
 
 
@@ -144,34 +144,25 @@ def _check_consistency(report, table, scale):
         _num(report, "tableA1", f"{label}: C vs S/N", row["C"], c_implied, tol)
 
 
+# tolerance key of each field of a descriptive row, in check order
+_DESCRIPTIVE_TOLERANCES = {
+    "mean": "moment", "median": "moment", "sd": "moment",
+    "D_normal": "ks_d", "p_normal": "ks_p_normal",
+    "D_student": "ks_d", "p_student": "ks_p_student",
+}
+_STUDENT_P_NOTE = "Student p reported only; the published fitting rule is reconstructed"
+
+
 def _check_descriptives(report, table, scale):
     for table_id, spec in fx.DESCRIPTIVE_TABLES.items():
         transform = Transform(spec["transform"])
         for variable, expected in spec["rows"].items():
-            x = apply_transform(table.column(variable), transform)
-            d = describe(x)
-            e_mean, e_median, e_sd, e_dn, e_pn, e_ds, e_ps = expected
-            tol_m = fx.TOLERANCES["moment"] * scale
-            _num(report, table_id, f"{variable} mean", e_mean, d.mean, tol_m)
-            _num(report, table_id, f"{variable} median", e_median, d.median, tol_m)
-            _num(report, table_id, f"{variable} sd", e_sd, d.sd, tol_m)
-
-            ks_n = ks_test(x, fit_distspec(x, "normal"))
-            _num(report, table_id, f"{variable} D_normal", e_dn, ks_n.d,
-                 fx.TOLERANCES["ks_d"] * scale)
-            key = (table_id, variable, "p_normal")
-            note = fx.KNOWN_INCONSISTENT_CELLS.get(key, "")
-            _num(report, table_id, f"{variable} p_normal", e_pn, ks_n.p_value,
-                 fx.TOLERANCES["ks_p_normal"] * scale,
-                 binding=not note, note=note)
-
-            ks_s = ks_test(x, fit_distspec(x, "student"))
-            _num(report, table_id, f"{variable} D_student", e_ds, ks_s.d,
-                 fx.TOLERANCES["ks_d"] * scale)
-            _num(report, table_id, f"{variable} p_student", e_ps, ks_s.p_value,
-                 fx.TOLERANCES["ks_p_student"] * scale, binding=False,
-                 note="Student p reported only; the published fitting rule "
-                      "is reconstructed")
+            row = column_summary(apply_transform(table.column(variable), transform))
+            for (name, tol_key), e in zip(_DESCRIPTIVE_TOLERANCES.items(), expected):
+                note = (_STUDENT_P_NOTE if name == "p_student" else
+                        fx.KNOWN_INCONSISTENT_CELLS.get((table_id, variable, name), ""))
+                _num(report, table_id, f"{variable} {name}", e, row[name],
+                     fx.TOLERANCES[tol_key] * scale, binding=not note, note=note)
 
 
 def _check_adequacy(report, table, scale, results):
@@ -196,20 +187,18 @@ def _reference_matrix(variables, cells, rotation):
     return LoadingMatrix(tuple(variables), values, rotation=rotation)
 
 
-def _check_varimax_tables(report, scale, results):
+def _check_varimax_tables(report, scale, aligned):
     tol = fx.TOLERANCES["loading"] * scale
     for table_id, spec in fx.VARIMAX_TABLES.items():
         variables = spec["variables"]
         for key, cells in spec["loadings"].items():
-            result = results[(variables, key)]
-            reference = _reference_matrix(variables, cells, "varimax")
-            aligned = align_loadings(result.rotated, reference)
+            values = aligned[(table_id, key)].values
             for i, v in enumerate(variables):
                 for j in range(2):
                     _num(report, table_id, f"{v} F{j + 1} {key}",
-                         cells[v][j], aligned.values[i, j], tol)
+                         cells[v][j], values[i, j], tol)
             if "ss_loadings" in spec:
-                ss = (aligned.values**2).sum(axis=0)
+                ss = (values**2).sum(axis=0)
                 for j, expected in enumerate(spec["ss_loadings"][key]):
                     _num(report, table_id, f"SS F{j + 1} {key}", expected,
                          float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
@@ -247,7 +236,7 @@ def _check_communalities(report, scale, results):
           f"{mean_comm:.4f}", mean_comm >= 0.97)
 
 
-def _check_variance_explained(report, scale, results):
+def _check_variance_explained(report, scale, results, aligned):
     tol = fx.TOLERANCES["variance_pct"] * scale
     variables = VARIABLE_SETS["7"]
     for key, expected in fx.VARIANCE_EXPLAINED_PCT.items():
@@ -256,25 +245,16 @@ def _check_variance_explained(report, scale, results):
         _num(report, "table3", f"variance total {key}", expected["total"],
              float(pct.sum()), tol)
         if "split" in expected:
-            reference = _reference_matrix(
-                variables, fx.VARIMAX_TABLES["table3"]["loadings"][key], "varimax"
-            )
-            aligned = align_loadings(result.rotated, reference)
-            ss_pct = (aligned.values**2).sum(axis=0) / len(variables) * 100.0
+            values = aligned[("table3", key)].values
+            ss_pct = (values**2).sum(axis=0) / len(variables) * 100.0
             for j, e in enumerate(expected["split"]):
                 _num(report, "table3", f"variance F{j + 1} {key}", e,
                      float(ss_pct[j]), tol)
 
 
-def _check_categorization(report, results):
-    variables = VARIABLE_SETS["7"]
-    result = results[(variables, "raw")]
-    reference = _reference_matrix(
-        variables, fx.VARIMAX_TABLES["table3"]["loadings"]["raw"], "varimax"
-    )
-    aligned = align_loadings(result.rotated, reference)
+def _check_categorization(report, aligned):
     for threshold, expected in fx.CATEGORIZATION.items():
-        cat = categorize(aligned, threshold=threshold)
+        cat = categorize(aligned[("table3", "raw")], threshold=threshold)
         for factor, expected_set in expected.items():
             computed = cat.on_factor(factor)
             _cond(report, "categorize", f"t={threshold} F{factor}",
@@ -340,14 +320,23 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
             results[(variables, key)] = efa_pipeline(
                 values, variables, Transform(key), settings, "varimax"
             )
+    # each varimax solution aligned once to its published reference
+    aligned = {
+        (table_id, key): align_loadings(
+            results[(spec["variables"], key)].rotated,
+            _reference_matrix(spec["variables"], cells, "varimax"),
+        )
+        for table_id, spec in fx.VARIMAX_TABLES.items()
+        for key, cells in spec["loadings"].items()
+    }
 
     _check_consistency(report, table, scale)
     _check_descriptives(report, table, scale)
     _check_adequacy(report, table, scale, results)
-    _check_varimax_tables(report, scale, results)
+    _check_varimax_tables(report, scale, aligned)
     _check_promax_tables(report, scale, results)
     _check_communalities(report, scale, results)
-    _check_variance_explained(report, scale, results)
-    _check_categorization(report, results)
+    _check_variance_explained(report, scale, results, aligned)
+    _check_categorization(report, aligned)
     _check_cfa(report, table, scale, results)
     return report

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bibfactor import cli
+from bibfactor import cli, fixture_table, indicator_table_to_csv
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
 
@@ -86,6 +86,20 @@ class TestIndicesCommand:
         assert code == 2
         assert out == ""
         assert "'x'" in err
+
+    @pytest.mark.parametrize("command", ["efa", "cfa", "describe"])
+    def test_non_finite_indicator_exits_2(self, capsys, tmp_path, command):
+        lines = indicator_table_to_csv(fixture_table()).splitlines()
+        label, _, rest = lines[2].split(",", 2)
+        lines[2] = f"{label},nan,{rest}"
+        path = tmp_path / "indicators.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, command, "--input", str(path), "--format", "indicators"
+        )
+        assert code == 2
+        assert out == ""
+        assert "line 3: non-finite cell 'nan'" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--input", "/no/such/file.csv")

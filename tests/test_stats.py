@@ -19,7 +19,7 @@ from bibfactor import (
     normal_cdf,
     student_cdf,
 )
-from oracles import oracle_ks_d, oracle_student_cdf
+from oracles import oracle_ks_d, oracle_student_cdf, oracle_student_ml
 
 
 class TestApplyTransform:
@@ -98,6 +98,29 @@ class TestFitDistspec:
         rng = np.random.default_rng(9)
         x = rng.standard_t(df=4, size=30)
         assert fit_student_ml(x) == fit_student_ml(x)
+
+    def test_student_ml_matches_scalar_profile_on_fixture(self, fixture):
+        for column in fixture.columns:
+            for transform in Transform:
+                x = apply_transform(fixture.column(column), transform)
+                spec = fit_student_ml(x)
+                assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
+
+    def test_student_ml_matches_scalar_profile_on_t_draws(self):
+        rng = np.random.default_rng(11)
+        for n in np.linspace(5, 200, 20).astype(int):
+            x = rng.standard_t(df=rng.uniform(1.0, 30.0), size=n)
+            spec = fit_student_ml(x)
+            assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
+
+    def test_student_ml_rejects_collapsed_scale_on_ties(self):
+        # unguarded, the profile maximum sits at scale ~ 2.7e-10 around the 4s
+        x = [4.0] * 7 + [2.0, 3.0, 3.0]
+        spec = fit_student_ml(x)
+        sd = float(np.std(x, ddof=1))
+        assert spec.scale >= 0.25 * sd
+        assert spec.scale == pytest.approx(0.184, abs=5e-4)
+        assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
 
     def test_constant_sample_errors(self):
         with pytest.raises(ZeroVarianceError):

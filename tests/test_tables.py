@@ -89,6 +89,11 @@ class TestIndicatorTableParsing:
         with pytest.raises(ParseError, match="line 2"):
             parse_indicator_table("scientist,h\nA,x\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(ParseError, match=f"line 3: non-finite cell '{cell}'"):
+            parse_indicator_table(f"scientist,h,g\nA,39,67\nB,{cell},12\n")
+
     def test_duplicate_rows_rejected(self):
         with pytest.raises(ValidationError):
             parse_indicator_table("scientist,h\nA,1\nA,2\n")
