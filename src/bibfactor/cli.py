@@ -367,9 +367,12 @@ def _cmd_bootstrap(args):
                     format_number(result.upper[i, j], 3),
                 ])
         header = ["loading", "full", "mean", "sd", "p2.5", "p97.5"]
+        causes = ", ".join(f"{k} {v}" for k, v in result.failures.items())
         return "\n".join([
             f"B = {result.n_boot}  seed = {result.seed}  "
-            f"failed resamples = {result.n_failed}",
+            f"failed resamples = {result.n_failed}"
+            + (f" ({causes})" if causes else "")
+            + f"  clamped resamples = {result.n_clamped}",
             render_text_table(header, rows),
         ])
 
@@ -378,6 +381,8 @@ def _cmd_bootstrap(args):
             "B": result.n_boot,
             "seed": result.seed,
             "n_failed": result.n_failed,
+            "failures": result.failures,
+            "n_clamped": result.n_clamped,
             "variables": list(variables),
             "reference": result.reference.values.tolist(),
             "mean": result.mean.tolist(),

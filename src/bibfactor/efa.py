@@ -9,6 +9,16 @@ The extraction defaults (communalities initialized at 1, iteration stopped
 when the largest communality change drops below 1e-3) mirror the convergence
 behaviour of the statistical package used to produce the published reference
 tables for the embedded dataset; see ``ExtractionSettings``.
+
+Correlation, extraction, rotation and alignment each have one
+implementation: a private kernel over a stack of B matrices (leading axis).
+The public functions call it with a stack of one, the bootstrap with chunks
+of resamples. A kernel returns, per matrix, the error the public function
+raises for it (None when the matrix went through), so one failing matrix
+never stops the rest of its stack. Stacked matrices keep the memory layout
+a lone matrix has (loading and eigenvector matrices column-major), so every
+sum and BLAS call runs in the same order and a matrix gets the same result
+bit for bit in a stack of any size.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +34,6 @@ from scipy.special import gammaincc
 
 from .errors import (
     AsymmetricMatrixError,
-    BibfactorError,
     ConvergenceError,
     DegenerateInputError,
     HeywoodWarning,
@@ -36,6 +46,54 @@ from .stats import Transform, apply_transform
 
 _EIGEN_SYMMETRY_TOL = 1e-10
 _RELATIVE_RANK_TOL = 1e-12
+# resamples per stacked pass of bootstrap_efa; bounds its working memory
+_BOOTSTRAP_CHUNK = 128
+
+
+def _swap(a):
+    return a.swapaxes(-1, -2)
+
+
+def _per_matrix(order):
+    """Index selecting ``order[b]`` along the last axis of matrix b."""
+    return (order,) if order.ndim == 1 else (np.arange(len(order))[:, None], order)
+
+
+def _take_columns(a, order):
+    """``a[..., :, order]`` with one order per matrix, each result column-major."""
+    return _swap(_swap(a)[_per_matrix(order)])
+
+
+def _no_errors(shape):
+    return np.full(shape, None, dtype=object)
+
+
+def _fail(errors, failed, make):
+    """Give each failed matrix that has no error yet the error ``make(i)``."""
+    for i in map(tuple, np.argwhere(failed)):
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
+def _guarded(fn, stack):
+    """``fn`` over a (..., k, k) stack, and the LinAlgError of each matrix.
+
+    Matrices on which ``fn`` raises are found one by one and replaced by the
+    identity, so that one bad matrix cannot stop the rest of the stack.
+    """
+    errors = _no_errors(stack.shape[:-2])
+    try:
+        return fn(stack), errors
+    except np.linalg.LinAlgError:
+        pass
+    bad = np.zeros(errors.shape, dtype=bool)
+    for i in np.ndindex(errors.shape):
+        try:
+            fn(stack[i])
+        except np.linalg.LinAlgError as exc:
+            errors[i], bad[i] = exc, True
+    safe = np.where(bad[..., None, None], np.eye(stack.shape[-1]), stack)
+    return fn(safe), errors
 
 
 def symmetric_eigen(matrix):
@@ -66,18 +124,53 @@ def symmetric_eigen(matrix):
 
 
 def _sorted_eigh(m):
-    # For matrices this module built itself: symmetric by construction, so
-    # only the rounding-level asymmetry is averaged away, without a check.
-    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
+    # For stacks (..., k, k) this module built itself: symmetric by
+    # construction, so only the rounding-level asymmetry is averaged away,
+    # without a check.
+    values, vectors = np.linalg.eigh((m + _swap(m)) / 2.0)
+    order = np.argsort(values, axis=-1)[..., ::-1]
+    return values[_per_matrix(order)], _take_columns(vectors, order)
 
 
 def _eigen_inverse(values, vectors):
-    w_max = float(values.max())
-    if w_max <= 0 or values.min() <= _RELATIVE_RANK_TOL * w_max:
-        raise SingularMatrixError("matrix is numerically singular")
-    return (vectors / values) @ vectors.T
+    """Inverses from descending eigendecompositions, and the mask of the
+    numerically singular matrices, whose inverse is meaningless."""
+    w_max = values.max(axis=-1)
+    singular = (w_max <= 0) | (values.min(axis=-1) <= _RELATIVE_RANK_TOL * w_max)
+    safe = np.where(singular[..., None], 1.0, values)
+    return (vectors / safe[..., None, :]) @ _swap(vectors), singular
+
+
+def _checked_correlations(v):
+    """The checks of :class:`CorrelationMatrix` on a (..., p, p) stack.
+
+    Returns the symmetrized matrices clipped into [-1, 1] with a unit
+    diagonal, their descending eigendecompositions, and per matrix the
+    error it fails with (or None).
+    """
+    errors = _no_errors(v.shape[:-2])
+    asym = np.abs(v - _swap(v)).max(axis=(-2, -1), initial=0.0)
+    _fail(errors, asym > 1e-8,
+          lambda i: ValidationError("correlation matrix is not symmetric"))
+    v = (v + _swap(v)) / 2.0
+    diagonal = np.diagonal(v, axis1=-2, axis2=-1)
+    _fail(errors, np.abs(diagonal - 1.0).max(axis=-1, initial=0.0) > 1e-8,
+          lambda i: ValidationError("correlation matrix diagonal must be 1"))
+    _fail(errors, np.abs(v).max(axis=(-2, -1), initial=0.0) > 1.0 + 1e-8,
+          lambda i: ValidationError("correlation entries must lie in [-1, 1]"))
+    v = np.clip(v, -1.0, 1.0)
+    d = np.arange(v.shape[-1])
+    v[..., d, d] = 1.0
+    (eigenvalues, eigenvectors), failed = _guarded(_sorted_eigh, v)
+    _fail(errors, np.not_equal(failed, None), lambda i: failed[i])
+    _fail(
+        errors, eigenvalues.min(axis=-1, initial=0.0) < -1e-8,
+        lambda i: ValidationError(
+            "matrix is not positive semi-definite "
+            f"(smallest eigenvalue {eigenvalues[i][-1]:.3e})"
+        ),
+    )
+    return v, eigenvalues, eigenvectors, errors
 
 
 @dataclass(frozen=True)
@@ -103,21 +196,9 @@ class CorrelationMatrix:
                 f"correlation matrix shape {v.shape} does not match "
                 f"{p} labels"
             )
-        if p and float(np.abs(v - v.T).max()) > 1e-8:
-            raise ValidationError("correlation matrix is not symmetric")
-        v = (v + v.T) / 2.0
-        if p and float(np.abs(np.diag(v) - 1.0).max()) > 1e-8:
-            raise ValidationError("correlation matrix diagonal must be 1")
-        if p and float(np.abs(v).max()) > 1.0 + 1e-8:
-            raise ValidationError("correlation entries must lie in [-1, 1]")
-        v = np.clip(v, -1.0, 1.0)
-        np.fill_diagonal(v, 1.0)
-        eigenvalues, eigenvectors = _sorted_eigh(v)
-        if p and eigenvalues[-1] < -1e-8:
-            raise ValidationError(
-                "matrix is not positive semi-definite "
-                f"(smallest eigenvalue {eigenvalues[-1]:.3e})"
-            )
+        v, eigenvalues, eigenvectors, error = _checked_correlations(v)
+        if error.item() is not None:
+            raise error.item()
         for array in (v, eigenvalues, eigenvectors):
             array.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -130,13 +211,41 @@ class CorrelationMatrix:
         return len(self.labels)
 
 
+def _correlations(x, labels):
+    """Pearson correlations of each (n, p) table in a (B, n, p) stack.
+
+    Equal to ``np.corrcoef(table, rowvar=False)`` bit for bit: the same
+    column means, the same product of the centred columns, the same
+    scaling. A table with a constant column gets a zero matrix and a
+    ZeroVarianceError naming the column.
+    """
+    B, n, p = x.shape
+    constant = x.std(axis=1) == 0.0
+    first = constant.argmax(axis=-1)
+    errors = _no_errors(B)
+    _fail(errors, constant.any(axis=-1),
+          lambda i: ZeroVarianceError(f"column {labels[first[i]]!r} is constant"))
+    ok = np.equal(errors, None)
+    centred = x[ok]
+    centred -= centred.mean(axis=1, keepdims=True)
+    columns = _swap(centred)
+    c = np.matmul(columns, _swap(columns))
+    c *= np.true_divide(1, n - 1)
+    sd = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
+    c /= sd[..., :, None]
+    c /= sd[..., None, :]
+    r = np.zeros((B, p, p))
+    r[ok] = np.clip(c, -1.0, 1.0)
+    return r, errors
+
+
 def correlation_matrix(table, labels):
     """Pearson correlations of the columns of ``table``.
 
     Parameters
     ----------
     table : array-like, shape (n, p)
-        Observations in rows; needs n >= 3.
+        Observations in rows; needs n >= 3 and finite values.
     labels : sequence of str
         One name per column; used in error messages and results.
     """
@@ -148,12 +257,26 @@ def correlation_matrix(table, labels):
         raise ValidationError("number of labels must match number of columns")
     if x.shape[0] < 3:
         raise InsufficientDataError("need at least 3 rows to correlate")
-    sd = x.std(axis=0)
-    for j, s in enumerate(sd):
-        if s == 0.0:
-            raise ZeroVarianceError(f"column {labels[j]!r} is constant")
-    r = np.corrcoef(x, rowvar=False)
-    return CorrelationMatrix(labels=labels, values=r)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(
+            f"non-finite value {float(x[i, j])} at row {i}, "
+            f"column {labels[j]!r}"
+        )
+    r, errors = _correlations(x[None], labels)
+    if errors[0] is not None:
+        raise errors[0]
+    return CorrelationMatrix(labels=labels, values=r[0])
+
+
+def _smc(values, eigenvalues, eigenvectors):
+    inverse, singular = _eigen_inverse(eigenvalues, eigenvectors)
+    off = np.abs(values - np.eye(values.shape[-1])).max(axis=-1)
+    return np.where(
+        singular[..., None], off,
+        1.0 - 1.0 / np.diagonal(inverse, axis1=-2, axis2=-1),
+    )
 
 
 def smc(corr):
@@ -162,12 +285,7 @@ def smc(corr):
     Falls back to the maximum absolute off-diagonal correlation per row when
     R is numerically singular.
     """
-    try:
-        inv = _eigen_inverse(corr.eigenvalues, corr.eigenvectors)
-    except SingularMatrixError:
-        off = np.abs(corr.values - np.eye(corr.p))
-        return off.max(axis=1)
-    return 1.0 - 1.0 / np.diag(inv)
+    return _smc(corr.values, corr.eigenvalues, corr.eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -199,11 +317,11 @@ class ExtractionSettings:
 
 def _canonicalize(values):
     """Order columns by descending sum of squares, make column sums >= 0."""
-    ss = (values**2).sum(axis=0)
-    order = np.argsort(-ss, kind="stable")
-    values = values[:, order]
-    signs = np.where(values.sum(axis=0) >= 0.0, 1.0, -1.0)
-    return values * signs, order, signs
+    ss = (values**2).sum(axis=-2)
+    order = np.argsort(-ss, axis=-1, kind="stable")
+    values = _take_columns(values, order)
+    signs = np.where(values.sum(axis=-2) >= 0.0, 1.0, -1.0)
+    return values * signs[..., None, :], order, signs
 
 
 @dataclass(frozen=True)
@@ -243,6 +361,83 @@ class LoadingMatrix:
         return (self.values**2).sum(axis=0)
 
 
+def _warn_clamped(count):
+    for _ in range(count):
+        warnings.warn(
+            "communality exceeded 1 during extraction and was clamped",
+            HeywoodWarning,
+            stacklevel=3,
+        )
+
+
+def _uls(values, eigenvalues, eigenvectors, settings):
+    """Iterated principal axes on a (B, p, p) stack of correlation matrices.
+
+    Each matrix iterates until its own largest communality change is below
+    ``settings.tol``, so it runs exactly the iterates it would run alone.
+    Returns canonical loadings (B, p, m), communalities (B, p), the mask of
+    matrices whose communalities were clamped at some iterate, and per
+    matrix a ConvergenceError or LinAlgError (or None).
+    """
+    B, p, _ = values.shape
+    m = settings.n_factors
+    ones = settings.initial == "ones"
+    if ones:
+        communalities = np.ones((B, p))
+    else:
+        communalities = np.clip(_smc(values, eigenvalues, eigenvectors), 0.0, 1.0)
+    # last iterate of each matrix, written when it stops
+    loadings = _swap(np.zeros((B, m, p)))
+    updated = np.zeros((B, p))
+    clamped = np.zeros(B, dtype=bool)
+    errors = _no_errors(B)
+    # the matrices still iterating and their current communalities
+    active, current = np.arange(B), communalities
+    diagonal = np.arange(p)
+    for iteration in range(settings.max_iter):
+        if iteration == 0 and ones:
+            # unit communalities leave R itself as the reduced matrix
+            w, vectors = eigenvalues, eigenvectors
+        else:
+            reduced = values[active]
+            reduced[:, diagonal, diagonal] = current
+            (w, vectors), failed = _guarded(_sorted_eigh, reduced)
+            ok = np.equal(failed, None)
+            if not ok.all():
+                errors[active] = failed
+                active, current, w, vectors = active[ok], current[ok], w[ok], vectors[ok]
+        top = np.sqrt(np.clip(w[:, :m], 0.0, None))
+        iterate = vectors[:, :, :m] * top[:, None, :]
+        squares = (iterate**2).sum(axis=-1)
+        clipped = np.clip(squares, 0.0, 1.0)
+        clamped[active] |= (squares > 1.0 + 1e-12).any(axis=-1)
+        step = np.abs(clipped - current).max(axis=-1)
+        current = clipped
+        stop = step < settings.tol
+        last = iteration + 1 == settings.max_iter
+        if last or stop.any():
+            done = stop | last
+            rows = active[done]
+            loadings[rows], updated[rows] = iterate[done], squares[done]
+            communalities[rows] = clipped[done]
+            if last:
+                for j in np.flatnonzero(~stop):
+                    errors[active[j]] = ConvergenceError(
+                        f"extraction did not converge in {settings.max_iter} "
+                        f"iterations (last change {step[j]:.3e})",
+                        last_iterate=(np.array(iterate[j]), clipped[j].copy()),
+                    )
+            active, current = active[~done], current[~done]
+            if not active.size:
+                break
+    # keep clamped rows consistent: row sums of squares == communalities
+    positive = updated > 0.0
+    ratio = communalities / np.where(positive, updated, 1.0)
+    scale = np.sqrt(np.where(positive, ratio, 1.0))
+    canonical, _, _ = _canonicalize(loadings * scale[..., None])
+    return canonical, np.minimum((canonical**2).sum(axis=-1), 1.0), clamped, errors
+
+
 def uls_extract(corr, settings=ExtractionSettings()):
     """Unweighted least-squares extraction by iterated principal axes.
 
@@ -262,52 +457,88 @@ def uls_extract(corr, settings=ExtractionSettings()):
     m = settings.n_factors
     if not m < p:
         raise ValidationError(f"need n_factors < p (got m={m}, p={p})")
-    ones = settings.initial == "ones"
-    communalities = np.ones(p) if ones else np.clip(smc(corr), 0.0, 1.0)
-    reduced = np.array(corr.values)
-    warned = False
-    for iteration in range(settings.max_iter):
-        if iteration == 0 and ones:
-            # unit communalities leave R itself as the reduced matrix
-            values, vectors = corr.eigenvalues, corr.eigenvectors
-        else:
-            np.fill_diagonal(reduced, communalities)
-            values, vectors = _sorted_eigh(reduced)
-        top = np.sqrt(np.clip(values[:m], 0.0, None))
-        loadings = vectors[:, :m] * top
-        updated = (loadings**2).sum(axis=1)
-        clipped = np.clip(updated, 0.0, 1.0)
-        if not warned and np.any(updated > 1.0 + 1e-12):
-            warnings.warn(
-                "communality exceeded 1 during extraction and was clamped",
-                HeywoodWarning,
-                stacklevel=2,
-            )
-            warned = True
-        change = float(np.abs(clipped - communalities).max())
-        communalities = clipped
-        if change < settings.tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"extraction did not converge in {settings.max_iter} iterations "
-            f"(last change {change:.3e})",
-            last_iterate=(loadings, communalities),
-        )
-    # keep clamped rows consistent: row sums of squares == communalities
-    positive = updated > 0.0
-    scale = np.ones(p)
-    scale[positive] = np.sqrt(communalities[positive] / updated[positive])
-    loadings = loadings * scale[:, None]
-    canonical, _, _ = _canonicalize(loadings)
-    matrix = LoadingMatrix(labels=corr.labels, values=canonical, rotation="none")
-    return matrix, np.minimum(matrix.communalities(), 1.0)
+    loadings, communalities, clamped, errors = _uls(
+        corr.values[None], corr.eigenvalues[None], corr.eigenvectors[None],
+        settings,
+    )
+    _warn_clamped(int(clamped.sum()))
+    if errors[0] is not None:
+        raise errors[0]
+    matrix = LoadingMatrix(labels=corr.labels, values=loadings[0], rotation="none")
+    return matrix, communalities[0]
 
 
 def _varimax_criterion(values):
-    p = values.shape[0]
+    p = values.shape[-2]
     squared = values**2
-    return float((squared**2).sum() - (squared.sum(axis=0) ** 2).sum() / p)
+    return (squared**2).sum(axis=(-2, -1)) - (squared.sum(axis=-2) ** 2).sum(axis=-1) / p
+
+
+def _turn_columns(stack, rows, j, k, planes):
+    """Apply a 2 x 2 plane rotation per row to columns j and k of a stack."""
+    pair = _swap(np.stack([stack[rows, :, j], stack[rows, :, k]], axis=1))
+    turned = pair @ planes
+    stack[rows, :, j], stack[rows, :, k] = turned[..., 0], turned[..., 1]
+
+
+def _varimax(values, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
+    """Varimax of a (B, p, m) stack of loadings by pairwise plane rotations.
+
+    Each matrix sweeps until its own criterion gains less than ``tol``.
+    Plane angles, cosines and sines come from ``math`` on Python floats, one
+    matrix at a time: ``np.arctan2`` and array squaring differ from them in
+    the last bit on some inputs. Returns the canonical rotated loadings and
+    the (B, m, m) rotations T with ``rotated = unrotated @ T``.
+    """
+    B, p, m = values.shape
+    rotation = np.array(np.broadcast_to(np.eye(m), (B, m, m)))
+    work = np.array(values)
+    if m == 1 or p <= 1:
+        return work, rotation
+
+    row_norms = np.sqrt((work**2).sum(axis=-1))
+    row_norms[row_norms == 0.0] = 1.0
+    if kaiser_normalize:
+        work /= row_norms[..., None]
+
+    criterion = _varimax_criterion(work)
+    active = np.arange(B)
+    for _ in range(max_sweeps):
+        for j, k in itertools.combinations(range(m), 2):
+            x, y = work[active, :, j], work[active, :, k]
+            u = x**2 - y**2
+            v = 2.0 * x * y
+            a = u.sum(axis=-1)
+            b = v.sum(axis=-1)
+            c = (u**2 - v**2).sum(axis=-1)
+            d = 2.0 * (u * v).sum(axis=-1)
+            numerator = d - 2.0 * a * b / p
+            angles = np.array([
+                0.25 * math.atan2(num, cc - (aa**2 - bb**2) / p)
+                for num, aa, bb, cc in zip(
+                    numerator.tolist(), a.tolist(), b.tolist(), c.tolist()
+                )
+            ])
+            turn = ~(np.abs(angles) < 1e-14)
+            if not turn.any():
+                continue
+            planes = np.array([
+                [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+                for t in angles[turn].tolist()
+            ])
+            _turn_columns(work, active[turn], j, k, planes)
+            _turn_columns(rotation, active[turn], j, k, planes)
+        updated = _varimax_criterion(work[active])
+        gain = updated - criterion[active]
+        criterion[active] = updated
+        active = active[~(gain < tol)]
+        if not active.size:
+            break
+
+    if kaiser_normalize:
+        work *= row_norms[..., None]
+    canonical, order, signs = _canonicalize(work)
+    return canonical, _take_columns(rotation, order) * signs[..., None, :]
 
 
 def varimax(loadings, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
@@ -328,48 +559,11 @@ def varimax(loadings, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
     """
     if loadings.rotation != "none":
         raise ValidationError("varimax expects unrotated loadings")
-    p, m = loadings.p, loadings.m
-    if m == 1 or p <= 1:
-        tagged = LoadingMatrix(loadings.labels, loadings.values, rotation="varimax")
-        return tagged, np.eye(m)
-
-    work = np.array(loadings.values)
-    row_norms = np.sqrt((work**2).sum(axis=1))
-    row_norms[row_norms == 0.0] = 1.0
-    if kaiser_normalize:
-        work /= row_norms[:, None]
-
-    rotation = np.eye(m)
-    criterion = _varimax_criterion(work)
-    for _ in range(max_sweeps):
-        for j, k in itertools.combinations(range(m), 2):
-            x, y = work[:, j], work[:, k]
-            u = x**2 - y**2
-            v = 2.0 * x * y
-            a = u.sum()
-            b = v.sum()
-            c = (u**2 - v**2).sum()
-            d = 2.0 * (u * v).sum()
-            numerator = d - 2.0 * a * b / p
-            denominator = c - (a**2 - b**2) / p
-            angle = 0.25 * math.atan2(numerator, denominator)
-            if abs(angle) < 1e-14:
-                continue
-            cos_a, sin_a = math.cos(angle), math.sin(angle)
-            plane = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-            work[:, [j, k]] = work[:, [j, k]] @ plane
-            rotation[:, [j, k]] = rotation[:, [j, k]] @ plane
-        updated = _varimax_criterion(work)
-        if updated - criterion < tol:
-            break
-        criterion = updated
-
-    if kaiser_normalize:
-        work *= row_norms[:, None]
-    canonical, order, signs = _canonicalize(work)
-    rotation = rotation[:, order] * signs
-    tagged = LoadingMatrix(loadings.labels, canonical, rotation="varimax")
-    return tagged, rotation
+    rotated, rotation = _varimax(
+        loadings.values[None], kaiser_normalize, tol, max_sweeps
+    )
+    tagged = LoadingMatrix(loadings.labels, rotated[0], rotation="varimax")
+    return tagged, rotation[0]
 
 
 @dataclass(frozen=True)
@@ -379,6 +573,55 @@ class PromaxSolution:
     pattern: LoadingMatrix
     structure: np.ndarray
     phi: np.ndarray
+
+
+def _promax(values, kappa):
+    """Promax of a (B, p, m) stack of varimax loadings.
+
+    Returns the pattern loadings (B, p, m), the factor correlations
+    (B, m, m) and per matrix a SingularMatrixError or LinAlgError (or None).
+    Rank-deficient matrices are screened out before any inverse.
+    """
+    B, p, m = values.shape
+    errors = _no_errors(B)
+    if m == 1:
+        return np.array(values), np.ones((B, 1, 1)), errors
+
+    row_norms = np.sqrt((values**2).sum(axis=-1))
+    row_norms[row_norms == 0.0] = 1.0
+    normalized = values / row_norms[..., None]
+    target = np.sign(normalized) * np.abs(normalized) ** kappa
+
+    (gram_values, gram_vectors), errors = _guarded(
+        _sorted_eigh, _swap(normalized) @ normalized
+    )
+    _fail(errors, gram_values[:, -1] <= _RELATIVE_RANK_TOL * gram_values[:, 0],
+          lambda i: SingularMatrixError("varimax loadings are rank deficient"))
+    ok = np.equal(errors, None)
+    normalized = normalized[ok]
+    inverse, _ = _eigen_inverse(gram_values[ok], gram_vectors[ok])
+    transform = inverse @ _swap(normalized) @ target[ok]
+
+    inverse, failed = _guarded(np.linalg.inv, _swap(transform) @ transform)
+    scale = np.sqrt(np.diagonal(inverse, axis1=-2, axis2=-1))
+    transform = transform * scale[:, None, :]
+    pattern = (normalized @ transform) * row_norms[ok][..., None]
+    phi, phi_failed = _guarded(np.linalg.inv, _swap(transform) @ transform)
+    errors[ok] = np.where(np.equal(failed, None), phi_failed, failed)
+
+    pattern, order, signs = _canonicalize(pattern)
+    phi = np.take_along_axis(phi, order[:, :, None], axis=1)
+    phi = np.take_along_axis(phi, order[:, None, :], axis=2)
+    phi = phi * (signs[:, :, None] * signs[:, None, :])
+    phi = (phi + _swap(phi)) / 2.0
+    d = np.arange(m)
+    phi[:, d, d] = 1.0
+
+    patterns = _swap(np.zeros((B, m, p)))
+    patterns[ok] = pattern
+    phis = np.array(np.broadcast_to(np.eye(m), (B, m, m)))
+    phis[ok] = phi
+    return patterns, phis, errors
 
 
 def promax(varimax_loadings, kappa=3):
@@ -399,39 +642,12 @@ def promax(varimax_loadings, kappa=3):
         raise ValidationError("promax expects a varimax-rotated loading matrix")
     if kappa < 1:
         raise ValidationError("kappa must be a positive exponent")
-    v = np.array(varimax_loadings.values)
-    p, m = v.shape
-    if m == 1:
-        pattern = LoadingMatrix(varimax_loadings.labels, v, rotation="promax")
-        return PromaxSolution(pattern=pattern, structure=v.copy(), phi=np.eye(1))
-
-    row_norms = np.sqrt((v**2).sum(axis=1))
-    row_norms[row_norms == 0.0] = 1.0
-    normalized = v / row_norms[:, None]
-
-    target = np.sign(normalized) * np.abs(normalized) ** kappa
-    gram = normalized.T @ normalized
-    gram_values, gram_vectors = _sorted_eigh(gram)
-    if gram_values[-1] <= _RELATIVE_RANK_TOL * gram_values[0]:
-        raise SingularMatrixError("varimax loadings are rank deficient")
-    transform = _eigen_inverse(gram_values, gram_vectors) @ normalized.T @ target
-
-    scale = np.sqrt(np.diag(np.linalg.inv(transform.T @ transform)))
-    transform = transform * scale
-
-    pattern_values = (normalized @ transform) * row_norms[:, None]
-    phi = np.linalg.inv(transform.T @ transform)
-
-    pattern_values, order, signs = _canonicalize(pattern_values)
-    phi = phi[np.ix_(order, order)] * np.outer(signs, signs)
-    phi = (phi + phi.T) / 2.0
-    np.fill_diagonal(phi, 1.0)
-
-    pattern = LoadingMatrix(
-        varimax_loadings.labels, pattern_values, rotation="promax"
-    )
+    pattern, phi, errors = _promax(varimax_loadings.values[None], kappa)
+    if errors[0] is not None:
+        raise errors[0]
+    pattern = LoadingMatrix(varimax_loadings.labels, pattern[0], rotation="promax")
     return PromaxSolution(
-        pattern=pattern, structure=pattern.values @ phi, phi=phi
+        pattern=pattern, structure=pattern.values @ phi[0], phi=phi[0]
     )
 
 
@@ -449,7 +665,9 @@ def kmo(corr):
     Compares the squared observed correlations with the squared anti-image
     partial correlations derived from R^-1.
     """
-    inverse = _eigen_inverse(corr.eigenvalues, corr.eigenvectors)
+    inverse, singular = _eigen_inverse(corr.eigenvalues, corr.eigenvectors)
+    if singular:
+        raise SingularMatrixError("matrix is numerically singular")
     d = np.sqrt(np.diag(inverse))
     partial = -inverse / np.outer(d, d)
     off = ~np.eye(corr.p, dtype=bool)
@@ -516,6 +734,12 @@ class EFAResult:
         return self.unrotated.labels
 
 
+def _transformed(x, transform):
+    return np.column_stack(
+        [apply_transform(x[:, j], transform) for j in range(x.shape[1])]
+    )
+
+
 def efa_pipeline(
     table,
     variables,
@@ -551,8 +775,7 @@ def efa_pipeline(
     if rotation not in ("none", "varimax", "promax"):
         raise ValidationError(f"unknown rotation {rotation!r}")
     x = np.asarray(table, dtype=float)
-    columns = [apply_transform(x[:, j], transform) for j in range(x.shape[1])]
-    corr = correlation_matrix(np.column_stack(columns), variables)
+    corr = correlation_matrix(_transformed(x, transform), variables)
     unrotated, communalities = uls_extract(corr, settings)
 
     structure = None
@@ -617,11 +840,28 @@ def categorize(loadings, threshold=0.6):
     )
 
 
-def _congruence(x, y):
-    denom = math.sqrt(float((x**2).sum()) * float((y**2).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float(x @ y) / denom
+def _align(values, reference):
+    """Align each matrix of a (B, p, m) stack to the (p, m) ``reference``.
+
+    Picks the column permutation with the largest summed absolute Tucker
+    congruence (the first of equal ones, in ``itertools.permutations``
+    order), then flips signs to make each congruence non-negative.
+    """
+    B, _, m = values.shape
+    cross = _swap(values) @ reference
+    norms = (values**2).sum(axis=-2)[:, :, None] * (reference**2).sum(axis=0)
+    denom = np.sqrt(norms)
+    # congruence[b, a, j]: column a of matrix b against reference column j
+    congruence = np.divide(cross, denom, out=np.zeros_like(cross), where=denom != 0.0)
+    perms = np.array(list(itertools.permutations(range(m))))
+    columns = np.arange(m)
+    totals = np.zeros((B, len(perms)))
+    for j in columns:
+        totals += np.abs(congruence[:, perms[:, j], j])
+    best = perms[np.argmax(totals, axis=-1)]
+    chosen = congruence[np.arange(B)[:, None], best, columns]
+    signs = np.where(chosen < 0.0, -1.0, 1.0)
+    return np.ascontiguousarray(_take_columns(values, best) * signs[:, None, :])
 
 
 def align_loadings(loadings, reference):
@@ -637,27 +877,18 @@ def align_loadings(loadings, reference):
             f"shape mismatch: {loadings.values.shape} vs "
             f"{reference.values.shape}"
         )
-    m = loadings.m
-    best_perm = None
-    best_total = -math.inf
-    for perm in itertools.permutations(range(m)):
-        total = sum(
-            abs(_congruence(loadings.values[:, perm[j]], reference.values[:, j]))
-            for j in range(m)
-        )
-        if total > best_total:
-            best_total = total
-            best_perm = perm
-    aligned = loadings.values[:, best_perm].copy()
-    for j in range(m):
-        if _congruence(aligned[:, j], reference.values[:, j]) < 0.0:
-            aligned[:, j] = -aligned[:, j]
-    return LoadingMatrix(loadings.labels, aligned, rotation=loadings.rotation)
+    aligned = _align(loadings.values[None], reference.values)
+    return LoadingMatrix(loadings.labels, aligned[0], rotation=loadings.rotation)
 
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Per-entry summaries of the aligned rotated loadings over resamples."""
+    """Per-entry summaries of the aligned rotated loadings over resamples.
+
+    ``failures`` counts the failed resamples by exception class name (the
+    counts sum to ``n_failed``); ``n_clamped`` counts the resamples whose
+    extraction clamped a communality.
+    """
 
     n_boot: int
     seed: int
@@ -668,6 +899,42 @@ class BootstrapResult:
     lower: np.ndarray
     upper: np.ndarray
     n_failed: int
+    failures: dict[str, int]
+    n_clamped: int
+
+
+def _resample_loadings(x, labels, settings, rotation, kappa, reference):
+    """Aligned rotated loadings of each table in a (B, n, p) stack.
+
+    Runs the steps of :func:`efa_pipeline` on the whole stack; a table that
+    fails a step is left out of the later ones. Returns the loadings of the
+    tables that went through, in stack order, per table its error (None
+    when it went through), and the mask of tables whose extraction clamped
+    a communality.
+    """
+    errors = _no_errors(len(x))
+    clamped = np.zeros(len(x), dtype=bool)
+    alive = np.arange(len(x))
+
+    def survivors(stage_errors, *stacks):
+        nonlocal alive
+        errors[alive] = stage_errors
+        ok = np.equal(stage_errors, None)
+        alive = alive[ok]
+        return [stack[ok] for stack in stacks]
+
+    r, stage = _correlations(x, labels)
+    *corr, stage = _checked_correlations(*survivors(stage, r))
+    corr = survivors(stage, *corr)
+    loadings, _, stage_clamped, stage = _uls(*corr, settings)
+    clamped[alive] = stage_clamped
+    (loadings,) = survivors(stage, loadings)
+    if rotation != "none":
+        loadings, _ = _varimax(loadings)
+    if rotation == "promax":
+        loadings, _, stage = _promax(loadings, kappa)
+        (loadings,) = survivors(stage, loadings)
+    return _align(loadings, reference), errors, clamped
 
 
 def bootstrap_efa(
@@ -685,62 +952,82 @@ def bootstrap_efa(
 
     Each resample runs the full pipeline; its rotated loadings are aligned
     to the full-sample solution before summarizing. Resamples where the
-    pipeline fails (constant column, no convergence, singularity) are
-    counted in ``n_failed`` and skipped. Deterministic for a fixed seed.
+    pipeline fails (constant column, not positive semi-definite, no
+    convergence, singularity) are skipped and counted in ``n_failed`` and,
+    by exception class, in ``failures``. ``n_clamped`` counts the resamples
+    whose extraction clamped a communality; each also emits one
+    :class:`HeywoodWarning`. Deterministic for a fixed seed.
+
+    The table is transformed once, and the resamples run through the
+    stacked kernels in chunks of 128, which bounds the working memory.
+    Every resample runs exactly the iterates it would run alone through
+    :func:`efa_pipeline`, so the result equals that per-resample
+    definition bit for bit.
 
     Parameters
     ----------
-    indices : array-like of shape (n_boot, n), optional
-        Explicit resample row indices, overriding the seeded generator.
-        Intended for tests.
+    seed : int
+        Non-negative seed of the row generator.
+    indices : array-like of int, shape (n_boot, n), optional
+        Explicit resample row indices in [0, n), overriding the seeded
+        generator. Intended for tests.
     """
     if n_boot < 1:
         raise ValidationError("n_boot must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     x = np.asarray(table, dtype=float)
     n = x.shape[0]
-    reference = efa_pipeline(x, variables, transform, settings, rotation, kappa)
-
     if indices is None:
         rng = np.random.default_rng(seed)
         indices = rng.integers(0, n, size=(n_boot, n))
     else:
-        indices = np.asarray(indices, dtype=int)
+        indices = np.asarray(indices)
         if indices.shape != (n_boot, n):
             raise ValidationError(
                 f"indices must have shape ({n_boot}, {n}), got {indices.shape}"
             )
-
-    draws = []
-    n_failed = 0
-    for b in range(n_boot):
-        resample = x[indices[b]]
-        try:
-            result = efa_pipeline(
-                resample, variables, transform, settings, rotation, kappa
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValidationError(
+                f"indices must be integers, got dtype {indices.dtype}"
             )
-        except (BibfactorError, np.linalg.LinAlgError):
-            n_failed += 1
-            continue
-        aligned = align_loadings(result.rotated, reference.rotated)
-        draws.append(aligned.values)
+        if ((indices < 0) | (indices >= n)).any():
+            raise ValidationError(f"indices must lie in [0, {n})")
+    reference = efa_pipeline(x, variables, transform, settings, rotation, kappa)
 
-    if not draws:
+    xt = _transformed(x, transform)
+    labels = tuple(variables)
+    chunks = [
+        _resample_loadings(
+            xt[indices[start:start + _BOOTSTRAP_CHUNK]], labels, settings,
+            rotation, kappa, reference.rotated.values,
+        )
+        for start in range(0, n_boot, _BOOTSTRAP_CHUNK)
+    ]
+    draws, errors, clamped = (np.concatenate(part) for part in zip(*chunks))
+    n_clamped = int(clamped.sum())
+    _warn_clamped(n_clamped)
+    failed = errors[np.not_equal(errors, None)]
+    failures = Counter(type(error).__name__ for error in failed)
+
+    if not len(draws):
         raise ConvergenceError("every bootstrap resample failed")
-    stack = np.stack(draws)
     sd = (
-        stack.std(axis=0, ddof=1)
-        if stack.shape[0] > 1
-        else np.zeros_like(stack[0])
+        draws.std(axis=0, ddof=1)
+        if draws.shape[0] > 1
+        else np.zeros_like(draws[0])
     )
-    lower, upper = np.percentile(stack, [2.5, 97.5], axis=0)
+    lower, upper = np.percentile(draws, [2.5, 97.5], axis=0)
     return BootstrapResult(
         n_boot=n_boot,
         seed=seed,
-        labels=tuple(variables),
+        labels=labels,
         reference=reference.rotated,
-        mean=stack.mean(axis=0),
+        mean=draws.mean(axis=0),
         sd=sd,
         lower=lower,
         upper=upper,
-        n_failed=n_failed,
+        n_failed=len(failed),
+        failures=dict(sorted(failures.items())),
+        n_clamped=n_clamped,
     )

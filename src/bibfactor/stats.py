@@ -105,9 +105,20 @@ def apply_transform(values, transform):
     raise ValidationError(f"unknown transform {transform!r}")
 
 
+def _finite(values):
+    """The sample as a float array; nan and inf are rejected by position."""
+    x = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValidationError(
+            f"non-finite value {float(x.flat[bad[0]])} at position {bad[0]}"
+        )
+    return x
+
+
 def describe(values):
     """Mean, median and sample standard deviation (n - 1 denominator)."""
-    x = np.asarray(values, dtype=float)
+    x = _finite(values)
     if x.size < 2:
         raise InsufficientDataError("need at least 2 observations")
     return Descriptives(
@@ -147,8 +158,9 @@ _EM_MAX_ITER = 500
 
 
 def _sample(values):
-    """The sample as a float array and its sd; needs n >= 2 and sd > 0."""
-    x = np.asarray(values, dtype=float)
+    """The sample as a float array and its sd; needs n >= 2, finite values
+    and sd > 0."""
+    x = _finite(values)
     if x.size < 2:
         raise InsufficientDataError("need at least 2 observations")
     sd = float(x.std(ddof=1))
@@ -239,7 +251,7 @@ def ks_test(values, ref):
     Parameters
     ----------
     values : sequence of float
-        Sample, n >= 1. Ties are handled by the two-sided step comparison
+        Finite sample, n >= 1. Ties are handled by the two-sided step comparison
         at each sorted point.
     ref : DistSpec
         Fully specified reference distribution.
@@ -250,7 +262,7 @@ def ks_test(values, ref):
         The statistic D = sup |F_n - F| evaluated at the sample points and
         the asymptotic p-value at sqrt(n) * D.
     """
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(_finite(values))
     n = x.size
     if n < 1:
         raise InsufficientDataError("need at least 1 observation")

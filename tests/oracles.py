@@ -5,7 +5,9 @@ reusing any package internals, so the tests compare two independent routes
 to the same quantity.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
@@ -224,3 +226,232 @@ def oracle_student_ml(values):
         if best is None or loglik > best[0]:
             best = (loglik, float(df), mu, sigma)
     return None if best is None else best[1:]
+
+
+# --- per-resample bootstrap of the EFA pipeline -----------------------------
+#
+# The serial definition the stacked bootstrap must reproduce bit for bit:
+# one resample at a time, each matrix on its own, with the per-matrix
+# memory layouts, sums and scalar math of that definition.
+
+
+class _OracleFailure(Exception):
+    """A table the pipeline rejects; ``args[0]`` names the error class."""
+
+
+def _oracle_sorted_eigh(m):
+    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    order = np.argsort(values)[::-1]
+    return values[order], vectors[:, order]
+
+
+def _oracle_eigen_inverse(values, vectors):
+    w_max = float(values.max())
+    if w_max <= 0 or values.min() <= 1e-12 * w_max:
+        raise _OracleFailure("SingularMatrixError")
+    return (vectors / values) @ vectors.T
+
+
+def _oracle_canonicalize(values):
+    ss = (values**2).sum(axis=0)
+    values = values[:, np.argsort(-ss, kind="stable")]
+    return values * np.where(values.sum(axis=0) >= 0.0, 1.0, -1.0)
+
+
+def _oracle_correlation(x):
+    if np.any(x.std(axis=0) == 0.0):
+        raise _OracleFailure("ZeroVarianceError")
+    v = np.corrcoef(x, rowvar=False)
+    if float(np.abs(v - v.T).max()) > 1e-8:
+        raise _OracleFailure("ValidationError")
+    v = (v + v.T) / 2.0
+    if float(np.abs(np.diag(v) - 1.0).max()) > 1e-8:
+        raise _OracleFailure("ValidationError")
+    if float(np.abs(v).max()) > 1.0 + 1e-8:
+        raise _OracleFailure("ValidationError")
+    v = np.clip(v, -1.0, 1.0)
+    np.fill_diagonal(v, 1.0)
+    values, vectors = _oracle_sorted_eigh(v)
+    if values[-1] < -1e-8:
+        raise _OracleFailure("ValidationError")
+    return v, values, vectors
+
+
+def _oracle_uls(v, values, vectors, m, tol, max_iter, state):
+    """Principal axes from unit communalities; sets state["clamped"]."""
+    communalities = np.ones(v.shape[0])
+    reduced = np.array(v)
+    for iteration in range(max_iter):
+        if iteration:
+            np.fill_diagonal(reduced, communalities)
+            values, vectors = _oracle_sorted_eigh(reduced)
+        top = np.sqrt(np.clip(values[:m], 0.0, None))
+        loadings = vectors[:, :m] * top
+        updated = (loadings**2).sum(axis=1)
+        clipped = np.clip(updated, 0.0, 1.0)
+        if np.any(updated > 1.0 + 1e-12):
+            state["clamped"] = True
+        change = float(np.abs(clipped - communalities).max())
+        communalities = clipped
+        if change < tol:
+            break
+    else:
+        raise _OracleFailure("ConvergenceError")
+    positive = updated > 0.0
+    scale = np.ones(v.shape[0])
+    scale[positive] = np.sqrt(communalities[positive] / updated[positive])
+    return _oracle_canonicalize(loadings * scale[:, None])
+
+
+def _oracle_varimax_criterion(values):
+    squared = values**2
+    return float(
+        (squared**2).sum() - (squared.sum(axis=0) ** 2).sum() / values.shape[0]
+    )
+
+
+def _oracle_varimax(values):
+    """Kaiser-normalized varimax, tol 1e-8, at most 1000 sweeps."""
+    p, m = values.shape
+    if m == 1 or p <= 1:
+        return values
+    work = np.array(values)
+    row_norms = np.sqrt((work**2).sum(axis=1))
+    row_norms[row_norms == 0.0] = 1.0
+    work /= row_norms[:, None]
+    criterion = _oracle_varimax_criterion(work)
+    for _ in range(1000):
+        for j, k in itertools.combinations(range(m), 2):
+            x, y = work[:, j], work[:, k]
+            u = x**2 - y**2
+            v = 2.0 * x * y
+            a = u.sum()
+            b = v.sum()
+            c = (u**2 - v**2).sum()
+            d = 2.0 * (u * v).sum()
+            angle = 0.25 * math.atan2(d - 2.0 * a * b / p, c - (a**2 - b**2) / p)
+            if abs(angle) < 1e-14:
+                continue
+            cos_a, sin_a = math.cos(angle), math.sin(angle)
+            plane = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
+            work[:, [j, k]] = work[:, [j, k]] @ plane
+        updated = _oracle_varimax_criterion(work)
+        if updated - criterion < 1e-8:
+            break
+        criterion = updated
+    work *= row_norms[:, None]
+    return _oracle_canonicalize(work)
+
+
+def _oracle_promax(values, kappa):
+    p, m = values.shape
+    if m == 1:
+        return values
+    row_norms = np.sqrt((values**2).sum(axis=1))
+    row_norms[row_norms == 0.0] = 1.0
+    normalized = values / row_norms[:, None]
+    target = np.sign(normalized) * np.abs(normalized) ** kappa
+    gram_values, gram_vectors = _oracle_sorted_eigh(normalized.T @ normalized)
+    if gram_values[-1] <= 1e-12 * gram_values[0]:
+        raise _OracleFailure("SingularMatrixError")
+    transform = (
+        _oracle_eigen_inverse(gram_values, gram_vectors) @ normalized.T @ target
+    )
+    transform = transform * np.sqrt(np.diag(np.linalg.inv(transform.T @ transform)))
+    np.linalg.inv(transform.T @ transform)  # phi: a singular one fails the table
+    return _oracle_canonicalize((normalized @ transform) * row_norms[:, None])
+
+
+def _oracle_congruence(x, y):
+    denom = math.sqrt(float((x**2).sum()) * float((y**2).sum()))
+    return 0.0 if denom == 0.0 else float(x @ y) / denom
+
+
+def _oracle_align(values, reference):
+    m = values.shape[1]
+    best_perm, best_total = None, -math.inf
+    for perm in itertools.permutations(range(m)):
+        total = sum(
+            abs(_oracle_congruence(values[:, perm[j]], reference[:, j]))
+            for j in range(m)
+        )
+        if total > best_total:
+            best_perm, best_total = perm, total
+    aligned = values[:, best_perm].copy()
+    for j in range(m):
+        if _oracle_congruence(aligned[:, j], reference[:, j]) < 0.0:
+            aligned[:, j] = -aligned[:, j]
+    return aligned
+
+
+_ORACLE_TRANSFORMS = {
+    "raw": np.copy, "ln": np.log, "ln1p": np.log1p, "sqrt": np.sqrt,
+}
+
+
+def _oracle_fit(table, transform, rotation, kappa, m, tol, max_iter, state):
+    f = _ORACLE_TRANSFORMS[transform]
+    x = np.column_stack([f(table[:, j]) for j in range(table.shape[1])])
+    v, values, vectors = _oracle_correlation(x)
+    unrotated = _oracle_uls(v, values, vectors, m, tol, max_iter, state)
+    rotated = unrotated if rotation == "none" else _oracle_varimax(unrotated)
+    if rotation == "promax":
+        rotated = _oracle_promax(rotated, kappa)
+    return unrotated, rotated
+
+
+def oracle_efa_loadings(table, transform="raw", rotation="varimax", kappa=3,
+                        n_factors=2):
+    """Unrotated and rotated loadings of one table, one matrix at a time."""
+    return _oracle_fit(np.asarray(table, dtype=float), transform, rotation,
+                       kappa, n_factors, 1e-3, 500, {})
+
+
+def _oracle_pipeline(table, transform, rotation, kappa, m, tol, max_iter):
+    """(rotated loadings or None, extraction clamped, failure class or None)."""
+    state = {"clamped": False}
+    try:
+        _, loadings = _oracle_fit(
+            table, transform, rotation, kappa, m, tol, max_iter, state
+        )
+    except _OracleFailure as exc:
+        return None, state["clamped"], exc.args[0]
+    except np.linalg.LinAlgError:
+        return None, state["clamped"], "LinAlgError"
+    return loadings, state["clamped"], None
+
+
+def oracle_bootstrap_efa(table, transform="raw", rotation="varimax",
+                         n_boot=1000, seed=0, kappa=3, n_factors=2,
+                         tol=1e-3, max_iter=500, indices=None):
+    """The row bootstrap of the EFA pipeline, one resample at a time.
+
+    Each resample is transformed column by column, correlated, extracted
+    (communalities from 1, stop below ``tol``), rotated and aligned to the
+    full-sample solution on its own. Returns a dict of mean, sd, lower,
+    upper (2.5/97.5 percentiles), n_failed, failures (class name -> count),
+    n_clamped (resamples whose extraction clamped a communality) and
+    warnings (clamped extractions including the full-sample one).
+    """
+    x = np.asarray(table, dtype=float)
+    n = x.shape[0]
+    args = (transform, rotation, kappa, n_factors, tol, max_iter)
+    reference, reference_clamped, _ = _oracle_pipeline(x, *args)
+    if indices is None:
+        indices = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+    draws, failures, n_clamped = [], Counter(), 0
+    for rows in indices:
+        loadings, clamped, failure = _oracle_pipeline(x[rows], *args)
+        n_clamped += clamped
+        if failure is not None:
+            failures[failure] += 1
+        else:
+            draws.append(_oracle_align(loadings, reference))
+    stack = np.stack(draws)
+    sd = stack.std(axis=0, ddof=1) if len(stack) > 1 else np.zeros_like(stack[0])
+    lower, upper = np.percentile(stack, [2.5, 97.5], axis=0)
+    return {
+        "mean": stack.mean(axis=0), "sd": sd, "lower": lower, "upper": upper,
+        "n_failed": sum(failures.values()), "failures": dict(failures),
+        "n_clamped": n_clamped, "warnings": n_clamped + reference_clamped,
+    }

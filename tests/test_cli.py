@@ -235,6 +235,15 @@ class TestBootstrapCommand:
         lower = np.array(payload["lower"])
         upper = np.array(payload["upper"])
         assert (lower <= upper).all()
+        assert payload["failures"] == {} and payload["n_failed"] == 0
+        assert 0 <= payload["n_clamped"] <= 25
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bootstrap", "--fixture", "--B", "5", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == "" and "seed must be non-negative" in err
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from bibfactor import (
     uls_extract,
     varimax,
 )
-from bibfactor.efa import _varimax_criterion
+from bibfactor.efa import _guarded, _sorted_eigh, _varimax_criterion
 from bibfactor.stats import apply_transform
+from bibfactor.tables import VARIABLE_SETS
+from oracles import oracle_bootstrap_efa, oracle_efa_loadings
 
 
 def planted_model(rng=None, p=6, m=2, loading=None):
@@ -484,8 +487,156 @@ class TestBootstrap:
             sub.values, sub.columns, n_boot=2, seed=0, indices=indices
         )
         assert result.n_failed == 1
+        assert result.failures == {"ZeroVarianceError": 1}
 
     def test_bad_indices_shape(self, fixture):
         sub = fixture.subset(("h", "m", "g"))
         with pytest.raises(ValidationError):
             bootstrap_efa(sub.values, sub.columns, n_boot=2, indices=np.zeros((1, 3), dtype=int))
+
+    def test_negative_seed_rejected(self, fixture):
+        sub = fixture.subset(("h", "m", "g"))
+        with pytest.raises(ValidationError, match="seed"):
+            bootstrap_efa(sub.values, sub.columns, n_boot=2, seed=-1)
+
+    @pytest.mark.parametrize("fill, message", [
+        (-1, "lie in"), (0.7, "integers"), (26, "lie in"),
+    ])
+    def test_bad_indices_values(self, fixture, fill, message):
+        sub = fixture.subset(("h", "m", "g"))
+        indices = np.full((2, sub.n_rows), fill)
+        with pytest.raises(ValidationError, match=message):
+            bootstrap_efa(sub.values, sub.columns, n_boot=2, indices=indices)
+
+    @pytest.mark.parametrize("call", [
+        lambda x, labels: correlation_matrix(x, labels),
+        lambda x, labels: efa_pipeline(x, labels),
+        lambda x, labels: bootstrap_efa(x, labels, n_boot=5),
+    ], ids=["correlation_matrix", "efa_pipeline", "bootstrap_efa"])
+    def test_non_finite_table_rejected(self, fixture, call):
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        values = np.array(sub.values)
+        values[4, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite value nan at row 4"):
+            call(values, sub.columns)
+
+
+SEVEN = VARIABLE_SETS["7"]
+BOOTSTRAP_VARIABLES = {
+    "7": SEVEN,
+    "7+N": SEVEN + ("N",),
+    "7+NC": VARIABLE_SETS["7+NC"],
+    "7+NSC": VARIABLE_SETS["7+NSC"],
+}
+# the two configurations the benchmark times at B = 1000
+TIMED = [("7", "raw", "varimax"), ("7+NC", "ln", "promax")]
+
+
+def assert_matches_oracle(fixture, variables, transform, rotation, n_boot,
+                          seed=31, indices=None, settings=ExtractionSettings()):
+    """Stacked bootstrap against the per-resample oracle, bit for bit."""
+    sub = fixture.subset(BOOTSTRAP_VARIABLES[variables])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = bootstrap_efa(
+            sub.values, sub.columns, Transform(transform), settings, rotation,
+            n_boot=n_boot, seed=seed, indices=indices,
+        )
+    expected = oracle_bootstrap_efa(
+        sub.values, transform, rotation, n_boot, seed, tol=settings.tol,
+        max_iter=settings.max_iter, indices=indices,
+    )
+    for key in ("mean", "sd", "lower", "upper"):
+        assert getattr(result, key).tobytes() == expected[key].tobytes(), key
+    assert result.n_failed == expected["n_failed"]
+    assert result.failures == expected["failures"]
+    assert result.n_clamped == expected["n_clamped"]
+    heywood = sum(issubclass(w.category, HeywoodWarning) for w in caught)
+    assert heywood == expected["warnings"]
+    return result
+
+
+ALL_CONFIGS = list(itertools.product(
+    BOOTSTRAP_VARIABLES, ("raw", "ln", "ln1p", "sqrt"),
+    ("none", "varimax", "promax"),
+))
+
+
+@pytest.mark.parametrize("variables, transform, rotation", ALL_CONFIGS)
+def test_pipeline_matches_per_matrix_oracle(fixture, variables, transform, rotation):
+    # column sums depend on memory layout (pairwise summation), so this also
+    # checks that stacked loadings keep the column-major layout
+    sub = fixture.subset(BOOTSTRAP_VARIABLES[variables])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeywoodWarning)
+        result = efa_pipeline(
+            sub.values, sub.columns, Transform(transform), rotation=rotation
+        )
+    unrotated, rotated = oracle_efa_loadings(sub.values, transform, rotation)
+    assert result.unrotated.values.tobytes() == unrotated.tobytes()
+    assert result.rotated.values.tobytes() == rotated.tobytes()
+    expected = np.minimum((unrotated**2).sum(axis=1), 1.0)
+    assert result.communalities.tobytes() == expected.tobytes()
+    if rotation != "promax":
+        assert result.ss_loadings.tobytes() == (rotated**2).sum(axis=0).tobytes()
+
+
+class TestStackedBootstrapEquivalence:
+    @pytest.mark.parametrize("variables, transform, rotation", TIMED)
+    def test_timed_configurations_at_b_1000(
+        self, fixture, variables, transform, rotation
+    ):
+        result = assert_matches_oracle(
+            fixture, variables, transform, rotation, 1000
+        )
+        assert result.n_clamped > 0
+
+    @pytest.mark.parametrize("variables, transform, rotation", [
+        config for config in ALL_CONFIGS if config not in TIMED
+    ])
+    def test_configuration_matrix_at_b_100(
+        self, fixture, variables, transform, rotation
+    ):
+        assert_matches_oracle(fixture, variables, transform, rotation, 100)
+
+    @pytest.mark.parametrize("n_boot", [127, 128, 129])
+    def test_chunk_boundaries(self, fixture, n_boot):
+        assert_matches_oracle(fixture, "7+NC", "ln", "promax", n_boot)
+
+    def test_degenerate_resample_inside_a_chunk(self, fixture):
+        n = fixture.n_rows
+        indices = np.random.default_rng(31).integers(0, n, size=(200, n))
+        indices[50] = 3
+        result = assert_matches_oracle(
+            fixture, "7", "raw", "varimax", 200, indices=indices
+        )
+        assert result.failures == {"ZeroVarianceError": 1}
+
+    def test_non_converged_resamples(self, fixture):
+        result = assert_matches_oracle(
+            fixture, "7+NSC", "ln", "promax", 200,
+            settings=ExtractionSettings(max_iter=8),
+        )
+        assert result.failures["ConvergenceError"] == result.n_failed > 0
+
+
+class TestGuardedStack:
+    def test_singular_inverse_fails_only_its_matrix(self):
+        stack = np.random.default_rng(3).normal(size=(4, 3, 3))
+        stack[2] = 0.0
+        inverses, errors = _guarded(np.linalg.inv, stack)
+        assert [e is None for e in errors] == [True, True, False, True]
+        assert isinstance(errors[2], np.linalg.LinAlgError)
+        for i in (0, 1, 3):
+            assert np.array_equal(inverses[i], np.linalg.inv(stack[i]))
+
+    def test_failed_eigendecomposition_fails_only_its_matrix(self):
+        stack = np.random.default_rng(4).normal(size=(3, 4, 4))
+        stack = stack + stack.transpose(0, 2, 1)
+        stack[0, 1, 1] = np.nan
+        (values, vectors), errors = _guarded(_sorted_eigh, stack)
+        assert [e is None for e in errors] == [False, True, True]
+        for i in (1, 2):
+            alone = _sorted_eigh(stack[i])
+            assert np.array_equal(values[i], alone[0])
+            assert np.array_equal(vectors[i], alone[1])

@@ -218,3 +218,15 @@ class TestKsTest:
     def test_empty_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
             ks_test([], DistSpec("normal", 0.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_distspec([1.0, 2.0, math.inf], "normal"),
+    lambda: fit_distspec([1.0, 2.0, 3.0, math.nan], "student"),
+    lambda: fit_student_ml([1.0, 2.0, 3.0, math.nan]),
+    lambda: describe([1.0, math.nan]),
+    lambda: ks_test([1.0, -math.inf], DistSpec("normal", 0.0, 1.0)),
+], ids=["normal", "student", "fit_student_ml", "describe", "ks_test"])
+def test_non_finite_sample_rejected(call):
+    with pytest.raises(ValidationError, match="non-finite value .* at position"):
+        call()
