@@ -14,7 +14,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -105,8 +104,8 @@ def _load_table(args):
         return fixture_table()
     text = _read_text(args.input)
     if args.format == "indicators":
-        return parse_indicator_table(io.StringIO(text))
-    records = parse_citations(io.StringIO(text), fmt=args.format)
+        return parse_indicator_table(text)
+    records = parse_citations(text, fmt=args.format)
     return table_from_records(records, GConvention(args.g_convention))
 
 
@@ -133,25 +132,20 @@ def _emit(args, text_fn, payload_fn, csv_fn=None):
 
 def _cmd_indices(args):
     table = _load_table(args)
-    columns = list(INDICATOR_COLUMNS)
+    columns = list(table.columns)
+    rows = list(zip(table.labels, table.values.tolist()))
 
     def as_text():
-        rows = []
-        for i, label in enumerate(table.labels):
-            row = [label]
-            for c in columns:
-                v = table.column(c)[i]
-                row.append(format_number(v, 0 if c in _INT_COLUMNS else 1))
-            rows.append(row)
-        return render_text_table(["scientist"] + columns, rows)
+        decimals = [0 if c in _INT_COLUMNS else 1 for c in columns]
+        return render_text_table(["scientist"] + columns, [
+            [label] + [format_number(v, nd) for v, nd in zip(values, decimals)]
+            for label, values in rows
+        ])
 
     def as_payload():
         return {
             "columns": columns,
-            "rows": {
-                label: {c: float(table.column(c)[i]) for c in columns}
-                for i, label in enumerate(table.labels)
-            },
+            "rows": {label: dict(zip(columns, values)) for label, values in rows},
         }
 
     _emit(args, as_text, as_payload, lambda: indicator_table_to_csv(table))

@@ -155,6 +155,8 @@ _STUDENT_DF_GRID = np.exp(np.linspace(math.log(1.0), math.log(1000.0), 200))
 _MIN_SCALE_FRACTION = 0.25
 _EM_TOL = 1e-10
 _EM_MAX_ITER = 500
+# candidates per EM block: max(1, this // n), so its work arrays stay cache-sized
+_EM_BLOCK_CELLS = 65536
 
 
 def _sample(values):
@@ -169,27 +171,26 @@ def _sample(values):
     return x, sd
 
 
-def fit_student_ml(values):
-    """Maximum-likelihood Student fit of (df, location, scale).
+def _em_block(x, df, mu, sigma, w_buf, t_buf):
+    """Iterate the EM of one block of df candidates to convergence.
 
-    Profiles df over 200 log-spaced values on [1, 1000]. Location and scale
-    at each df come from EM (Lange, Little & Taylor 1989), started at the
-    median and the sample sd; all candidates iterate together, and each
-    stops once both change by less than 1e-10 * (1 + |value|), or after 500
-    iterations. The likelihood is unbounded on tied data (scale -> 0 around
-    a repeated value), so candidates with scale below 0.25 * sd are rejected
-    as degenerate; the first of highest log-likelihood among the rest wins.
+    ``mu`` and ``sigma`` hold the start values and are updated in place;
+    ``w_buf`` and ``t_buf`` are work arrays with at least ``df.size`` rows.
     """
-    x, sd = _sample(values)
-    df = _STUDENT_DF_GRID
-    mu = np.full(df.size, float(np.median(x)))
-    sigma = np.full(df.size, sd)
     active = np.arange(df.size)
     for _ in range(_EM_MAX_ITER):
         d, m, s = df[active, None], mu[active], sigma[active]
-        w = (d + 1.0) / (d + ((x - m[:, None]) / s[:, None]) ** 2)
-        m_new = np.sum(w * x, axis=1) / np.sum(w, axis=1)
-        w *= (x - m_new[:, None]) ** 2
+        w, t = w_buf[:active.size], t_buf[:active.size]
+        np.subtract(x, m[:, None], out=t)
+        t /= s[:, None]
+        np.square(t, out=t)
+        t += d
+        np.divide(d + 1.0, t, out=w)
+        np.multiply(w, x, out=t)
+        m_new = np.sum(t, axis=1) / np.sum(w, axis=1)
+        np.subtract(x, m_new[:, None], out=t)
+        np.square(t, out=t)
+        w *= t
         s_new = np.sqrt(np.sum(w, axis=1) / x.size)
         done = (np.abs(m_new - m) < _EM_TOL * (1.0 + np.abs(m))) & (
             np.abs(s_new - s) < _EM_TOL * (1.0 + s)
@@ -197,9 +198,36 @@ def fit_student_ml(values):
         mu[active], sigma[active] = m_new, s_new
         active = active[~done]
         if not active.size:
-            break
-    z = (x - mu[:, None]) / sigma[:, None]
-    loglik = np.sum(_student_logpdf(z, df[:, None]), axis=1) - x.size * np.log(sigma)
+            return
+
+
+def fit_student_ml(values):
+    """Maximum-likelihood Student fit of (df, location, scale).
+
+    Profiles df over 200 log-spaced values on [1, 1000]. Location and scale
+    at each df come from EM (Lange, Little & Taylor 1989), started at the
+    median and the sample sd; the candidates of a block iterate together,
+    and each stops once both change by less than 1e-10 * (1 + |value|), or
+    after 500 iterations. The likelihood is unbounded on tied data (scale
+    -> 0 around a repeated value), so candidates with scale below 0.25 * sd
+    are rejected as degenerate; the first of highest log-likelihood among
+    the rest wins. Candidates run in blocks of max(1, 65536 // n) df
+    values, which keeps the work arrays cache-sized and does not change the
+    result.
+    """
+    x, sd = _sample(values)
+    df = _STUDENT_DF_GRID
+    mu = np.full(df.size, float(np.median(x)))
+    sigma = np.full(df.size, sd)
+    loglik = np.empty(df.size)
+    rows = min(df.size, max(1, _EM_BLOCK_CELLS // x.size))
+    w_buf, t_buf = np.empty((2, rows, x.size))
+    for start in range(0, df.size, rows):
+        block = slice(start, start + rows)
+        _em_block(x, df[block], mu[block], sigma[block], w_buf, t_buf)
+        z = (x - mu[block, None]) / sigma[block, None]
+        loglik[block] = (np.sum(_student_logpdf(z, df[block, None]), axis=1)
+                         - x.size * np.log(sigma[block]))
     rejected = sigma < _MIN_SCALE_FRACTION * sd
     if rejected.all():
         raise ZeroVarianceError("no admissible Student fit for this sample")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .indices import GConvention, indicator_set, normalize_record
+from .indices import CitationRecord, GConvention, indicator_set, normalize_record
 
 INDICATOR_COLUMNS = ("h", "m", "g", "h2", "A", "R", "hw", "N", "S", "C")
 _COLUMN_ALIASES = {"h(2)": "h2", "h_w": "hw", "hW": "hw"}
@@ -154,6 +155,101 @@ def _parse_count(cell, line):
     return value
 
 
+# Long-format text is tokenised in blocks of about this many characters:
+# under csv's default field size limit, so a block rarely needs its cell
+# lengths checked against it.
+_BLOCK_CHARS = 1 << 16
+# ASCII characters that str.strip() removes, other than the line breaks
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _long_header_ok(cells):
+    return [h.strip().lower() for h in cells] == ["scientist", "citations"]
+
+
+def _parse_long_columns(text):
+    """Long-format records tokenised column by column, or None.
+
+    None means the text needs the csv row reader: it has a quote, a NUL,
+    a lone carriage return, a blank or malformed line, a bad header, a
+    cell beyond the csv field size limit, an empty label, a count that
+    ``int()`` rejects or that is negative, or a count or sort key beyond
+    int64. The row reader then returns the same records or raises the
+    same error.
+    """
+    if '"' in text or "\0" in text or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    limit = csv.field_size_limit()
+    head_end = text.find("\n")
+    if not 0 <= head_end <= limit or not _long_header_ok(text[:head_end].split(",")):
+        return None
+    # a label seen for the first time gets the next dense code
+    codes = defaultdict()
+    codes.default_factory = codes.__len__
+    code_blocks, count_blocks = [], []
+    start = head_end + 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        block = text[start:end]
+        start = end
+        if not block.endswith("\n"):
+            block += "\n"
+        if not _one_comma_per_line(block):
+            return None
+        cells = block.replace("\n", ",").split(",")
+        cells.pop()
+        if len(block) > limit and max(map(len, cells)) > limit:
+            return None
+        labels = cells[0::2]
+        if not block.isascii() or any(c in block for c in _ASCII_SPACE):
+            labels = list(map(str.strip, labels))
+        n = len(labels)
+        code_blocks.append(np.fromiter(map(codes.__getitem__, labels), np.int64, n))
+        try:
+            count_blocks.append(np.fromiter(map(int, cells[1::2]), np.int64, n))
+        except (ValueError, OverflowError):
+            return None
+    if not codes or "" in codes:
+        return None
+    counts = np.concatenate(count_blocks)
+    del count_blocks
+    if counts.min() < 0:
+        return None
+    top = int(counts.max()) + 1
+    if len(codes) * top > np.iinfo(np.int64).max:
+        return None
+    # one sort orders by label code, then by count, largest first
+    key = np.concatenate(code_blocks)
+    del code_blocks
+    bounds = [0] + np.cumsum(np.bincount(key)).tolist()
+    key *= top
+    key += top - 1
+    key -= counts
+    del counts
+    key.sort()
+    np.remainder(key, top, out=key)
+    np.subtract(top - 1, key, out=key)
+    return [
+        CitationRecord(label, tuple(key[a:b].tolist()))
+        for label, a, b in zip(codes, bounds, bounds[1:])
+    ]
+
+
+def _one_comma_per_line(block):
+    """Whether every line of the block, which ends in a line feed, holds
+    exactly one comma.
+
+    Commas and line feeds never occur inside a multi-byte UTF-8 sequence,
+    so their bytes alone show where cells and lines end.
+    """
+    raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    return bool((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all())
+
+
 def parse_citations(stream, fmt="long"):
     """Parse citation records from CSV text.
 
@@ -165,20 +261,27 @@ def parse_citations(stream, fmt="long"):
         Wide: no header, ``label,c1,c2,...`` per scientist; duplicate labels
         are rejected.
 
+    Long-format text is tokenised column by column. Quoted cells, blank
+    lines and malformed lines go through the csv row reader instead, which
+    gives the same records and reports errors with their line numbers.
+
     Returns
     -------
     list of CitationRecord
         Grouped by label in first-appearance order, counts sorted.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    lines = None if isinstance(stream, str) else list(stream)
+    if fmt == "long":
+        records = _parse_long_columns(stream if lines is None else "".join(lines))
+        if records is not None:
+            return records
+    reader = csv.reader(io.StringIO(stream) if lines is None else lines)
     if fmt == "long":
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty input", line=1) from None
-        if [h.strip().lower() for h in header] != ["scientist", "citations"]:
+        if not _long_header_ok(header):
             raise ParseError(
                 "long format needs the header 'scientist,citations'", line=1
             )

@@ -5,12 +5,16 @@ reusing any package internals, so the tests compare two independent routes
 to the same quantity.
 """
 
+import csv
+import io
 import itertools
 import math
 from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
+
+from bibfactor.errors import ParseError
 
 
 def oracle_h(counts):
@@ -226,6 +230,46 @@ def oracle_student_ml(values):
         if best is None or loglik > best[0]:
             best = (loglik, float(df), mu, sigma)
     return None if best is None else best[1:]
+
+
+def oracle_parse_citations_long(stream):
+    """Long-format citation records by the csv row loop.
+
+    Returns ``[(label, counts)]`` in first-appearance order with counts
+    sorted non-increasing, or raises ``ParseError`` with the line number of
+    the first bad row.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input", line=1) from None
+    if [h.strip().lower() for h in header] != ["scientist", "citations"]:
+        raise ParseError("long format needs the header 'scientist,citations'", line=1)
+    grouped = {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 cells, got {len(row)}", line=line_no)
+        label = row[0].strip()
+        if not label:
+            raise ParseError("empty scientist label", line=line_no)
+        text = row[1].strip()
+        try:
+            count = int(text)
+        except ValueError:
+            raise ParseError(
+                f"citation count {text!r} is not an integer", line=line_no
+            ) from None
+        if count < 0:
+            raise ParseError(f"negative citation count {count}", line=line_no)
+        grouped.setdefault(label, []).append(count)
+    if not grouped:
+        raise ParseError("no data rows", line=2)
+    return [(label, tuple(sorted(counts, reverse=True))) for label, counts in grouped.items()]
 
 
 # --- per-resample bootstrap of the EFA pipeline -----------------------------

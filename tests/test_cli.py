@@ -24,6 +24,22 @@ class TestIndicesCommand:
         assert code == 0
         assert "scientist" in out and "a" in out and "b" in out
 
+    def test_text_rendering(self, capsys, tmp_path):
+        path = tmp_path / "cites.csv"
+        path.write_text("scientist,citations\nx,3\nx,10\ny,0\nx,5\ny,2\nx,4\nx,8\n")
+        code, out, _ = run_cli(capsys, "indices", "--input", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "scientist       h       m       g      h2       A       R      hw"
+            "       N       S       C",
+            "---------  ------  ------  ------  ------  ------  ------  ------"
+            "  ------  ------  ------",
+            "x               4     6.5       5       2     6.8     5.2     4.2"
+            "       5      30     6.0",
+            "y               1     2.0       1       1     2.0     1.4     1.4"
+            "       2       2     1.0",
+        ]
+
     def test_five_paper_record_values(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("x,3,10,5,4,8\n")

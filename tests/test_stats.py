@@ -113,6 +113,17 @@ class TestFitDistspec:
             spec = fit_student_ml(x)
             assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
 
+    @pytest.mark.parametrize("n", [2000, 1337])
+    def test_student_ml_matches_scalar_profile_across_blocks(self, n):
+        # above n = 327 the 200 candidates run in several EM blocks; at
+        # n = 1,337 the last block is a short one
+        rng = np.random.default_rng(n)
+        counts = np.floor(rng.zipf(1.8, n).clip(max=10**6) * rng.lognormal(0.0, 0.3, n))
+        x = np.log1p(counts)
+        assert np.unique(x).size < n // 4
+        spec = fit_student_ml(x)
+        assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
+
     def test_student_ml_rejects_collapsed_scale_on_ties(self):
         # unguarded, the profile maximum sits at scale ~ 2.7e-10 around the 4s
         x = [4.0] * 7 + [2.0, 3.0, 3.0]

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -15,8 +16,10 @@ from bibfactor import (
     parse_indicator_table,
     table_from_records,
 )
+from bibfactor import tables
 from bibfactor.fixture import FIXTURE_SHA256, fixture_table
 from bibfactor.tables import format_number, render_text_table
+from oracles import oracle_parse_citations_long
 
 
 class TestParseCitationsLong:
@@ -44,6 +47,138 @@ class TestParseCitationsLong:
     def test_non_integer_count(self):
         with pytest.raises(ParseError, match="3.5"):
             parse_citations("scientist,citations\na,3.5\n", fmt="long")
+
+
+HEADER = "scientist,citations\n"
+_FIELD_LIMIT = csv.field_size_limit()
+
+# Inputs the columnar path must hand to the csv row reader.
+ROW_READER_CASES = {
+    "lone CR": HEADER + "a,5\rb,3\n",
+    "lone CR at the end": HEADER + "a,5\nb,3\r",
+    "blank line": HEADER + "a,5\n\nb,3\n",
+    "blank CRLF line": "scientist,citations\r\na,5\r\n\r\nb,3\r\n",
+    "whitespace-only line": HEADER + "a,5\n \t \nb,3\n",
+    "quoted label": HEADER + '"Doe, J.",5\na,3\n"Doe, J.",8\n',
+    "quoted newline": HEADER + '"Doe\nJ.",5\nb,3\n',
+    "negative count": HEADER + "a,10\na,-2\n",
+    "fractional count": HEADER + "a,3.5\n",
+    "empty count": HEADER + "a,\n",
+    "count 2**63": HEADER + f"a,{2**63}\n",
+    "count 2**70": HEADER + f"a,1\nb,{2**70}\n",
+    "key beyond int64": HEADER + f"a,{2**62}\nb,1\n",
+    "empty label": HEADER + "a,1\n,5\n",
+    "blank label": HEADER + "a,1\n  ,5\n",
+    "3-cell row": HEADER + "a,5,6\n",
+    "1-cell and 3-cell rows": HEADER + "a\n5,b,7\n",
+    "header only": HEADER,
+    "header without newline": "scientist,citations",
+    "empty input": "",
+    "blank first line": "\n" + HEADER + "a,1\n",
+    "wrong header": "name,count\na,1\n",
+    "NUL in label": HEADER + "a\0b,5\n",
+    "label beyond the field limit": HEADER + "x" * (_FIELD_LIMIT + 1) + ",5\n",
+    "count beyond the field limit": HEADER + "a,5" + " " * _FIELD_LIMIT + "\n",
+}
+
+# Inputs the columnar path must parse itself.
+COLUMNAR_CASES = {
+    "LF": HEADER + "a,10\nb,0\na,3\n",
+    "CRLF": "scientist,citations\r\na,5\r\nb,3\r\na,7\r\n",
+    "no trailing newline": HEADER + "a,5\nb,3",
+    "padded labels and counts": HEADER + "  a ,5\na, 3 \n\tb\t,2\n\x0ca,1\n",
+    "header case and padding": " Scientist , CITATIONS \nA,1\n",
+    "count syntax of int()": HEADER + "a,+5\na,1_000\na,３\na,007\na,-0\n",
+    "non-ASCII labels": HEADER + "　é　,5\né,2\n\x85é,1\n",
+    "largest key": HEADER + f"a,{2**62 - 1}\n",
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+    except csv.Error as exc:
+        return ("csv.Error", str(exc))
+
+
+def _parsed(text):
+    records = parse_citations(text, fmt="long")
+    assert all(type(c) is int for rec in records for c in rec.counts)
+    return [(rec.label, rec.counts) for rec in records]
+
+
+def _random_long_text(rng):
+    labels = ["a", "b", " a", "c ", "Doe J.", "é", "　x", "12"]
+    counts = ["0", "1", "5", "17", " 7", "+5", "1_000", "３", "007", "-0", "123456789"]
+    odd_counts = ["-2", "3.5", "", "x", str(2**63), str(2**70), '"4"']
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    lines = ["scientist,citations"]
+    for _ in range(rng.integers(0, 40)):
+        label = labels[rng.integers(len(labels))]
+        count = counts[rng.integers(len(counts))]
+        u = rng.random()
+        if u < 0.02:
+            count = odd_counts[rng.integers(len(odd_counts))]
+        elif u < 0.03:
+            lines.append("")
+        elif u < 0.04:
+            count += ",9"
+        elif u < 0.05:
+            lines.append(label)
+            continue
+        elif u < 0.06:
+            label = f'"{label}, Q"'
+        elif u < 0.07:
+            label = ""
+        lines.append(f"{label},{count}")
+    text = newline.join(lines)
+    if rng.random() < 0.8:
+        text += newline
+    if rng.random() < 0.03:
+        text = text.replace(newline, "\r", 1)
+    return text
+
+
+class TestParseCitationsLongEquivalence:
+    """The columnar long-format path against the csv row loop."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMNAR_CASES))
+    def test_columnar_cases(self, name):
+        text = COLUMNAR_CASES[name]
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+
+    @pytest.mark.parametrize("name", sorted(ROW_READER_CASES))
+    def test_row_reader_cases(self, name):
+        text = ROW_READER_CASES[name]
+        assert tables._parse_long_columns(text) is None
+        assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
+
+    @pytest.mark.parametrize("block_chars", [1 << 16, 8])
+    def test_seeded_random_inputs(self, monkeypatch, block_chars):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            text = _random_long_text(rng)
+            assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
+
+    def test_many_blocks_keep_first_appearance_order(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 500, 40_000)
+        counts = rng.integers(0, 10**6, 40_000)
+        text = HEADER + "".join(f"s{a},{c}\n" for a, c in zip(labels, counts))
+        assert len(text) > 4 * tables._BLOCK_CHARS
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+
+    def test_text_file_stream(self, tmp_path):
+        path = tmp_path / "mac.csv"
+        path.write_text("scientist,citations\ra,5\rb,3\ra,1\r", newline="")
+        with open(path, encoding="utf-8", newline="") as handle:
+            records = parse_citations(handle)
+        assert [(r.label, r.counts) for r in records] == [("a", (5, 1)), ("b", (3,))]
 
 
 class TestParseCitationsWide:
