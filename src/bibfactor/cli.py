@@ -132,20 +132,22 @@ def _emit(args, text_fn, payload_fn, csv_fn=None):
 
 def _cmd_indices(args):
     table = _load_table(args)
-    columns = list(table.columns)
-    rows = list(zip(table.labels, table.values.tolist()))
+    columns = list(INDICATOR_COLUMNS)
+
+    def rows():
+        return zip(table.labels, table.subset(columns).values.tolist())
 
     def as_text():
         decimals = [0 if c in _INT_COLUMNS else 1 for c in columns]
         return render_text_table(["scientist"] + columns, [
             [label] + [format_number(v, nd) for v, nd in zip(values, decimals)]
-            for label, values in rows
+            for label, values in rows()
         ])
 
     def as_payload():
         return {
             "columns": columns,
-            "rows": {label: dict(zip(columns, values)) for label, values in rows},
+            "rows": {label: dict(zip(columns, values)) for label, values in rows()},
         }
 
     _emit(args, as_text, as_payload, lambda: indicator_table_to_csv(table))

@@ -159,8 +159,6 @@ def _parse_count(cell, line):
 # under csv's default field size limit, so a block rarely needs its cell
 # lengths checked against it.
 _BLOCK_CHARS = 1 << 16
-# ASCII characters that str.strip() removes, other than the line breaks
-_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _long_header_ok(cells):
@@ -170,12 +168,12 @@ def _long_header_ok(cells):
 def _parse_long_columns(text):
     """Long-format records tokenised column by column, or None.
 
-    None means the text needs the csv row reader: it has a quote, a NUL,
-    a lone carriage return, a blank or malformed line, a bad header, a
-    cell beyond the csv field size limit, an empty label, a count that
-    ``int()`` rejects or that is negative, or a count or sort key beyond
-    int64. The row reader then returns the same records or raises the
-    same error.
+    Blank and whitespace-only lines are skipped. None means the text needs
+    the csv row reader: it has a quote, a NUL, a lone carriage return, a
+    malformed line, a bad header, a cell beyond the csv field size limit,
+    an empty label, a count that ``int()`` rejects or that is negative, or
+    a count or sort key beyond int64. The row reader then returns the same
+    records or raises the same error.
     """
     if '"' in text or "\0" in text or (
         "\r" in text and text.count("\r") != text.count("\r\n")
@@ -198,14 +196,19 @@ def _parse_long_columns(text):
         if not block.endswith("\n"):
             block += "\n"
         if not _one_comma_per_line(block):
-            return None
+            # blank and whitespace-only lines are skipped, as by the row reader
+            lines = block.split("\n")
+            lines.pop()
+            if max(map(len, lines)) > limit:
+                return None
+            block = "".join(line + "\n" for line in lines if line.strip())
+            if not _one_comma_per_line(block):
+                return None
         cells = block.replace("\n", ",").split(",")
         cells.pop()
         if len(block) > limit and max(map(len, cells)) > limit:
             return None
-        labels = cells[0::2]
-        if not block.isascii() or any(c in block for c in _ASCII_SPACE):
-            labels = list(map(str.strip, labels))
+        labels = list(map(str.strip, cells[0::2]))
         n = len(labels)
         code_blocks.append(np.fromiter(map(codes.__getitem__, labels), np.int64, n))
         try:
@@ -261,21 +264,25 @@ def parse_citations(stream, fmt="long"):
         Wide: no header, ``label,c1,c2,...`` per scientist; duplicate labels
         are rejected.
 
-    Long-format text is tokenised column by column. Quoted cells, blank
-    lines and malformed lines go through the csv row reader instead, which
-    gives the same records and reports errors with their line numbers.
+    Long-format text is tokenised column by column. Quoted cells and
+    malformed lines go through the csv row reader instead, which gives the
+    same records and reports errors with their line numbers.
 
     Returns
     -------
     list of CitationRecord
         Grouped by label in first-appearance order, counts sorted.
     """
-    lines = None if isinstance(stream, str) else list(stream)
     if fmt == "long":
-        records = _parse_long_columns(stream if lines is None else "".join(lines))
+        if not isinstance(stream, str):
+            # the row reader below must see the lines that iterating the file gives
+            stream = list(stream)
+        records = _parse_long_columns(
+            stream if isinstance(stream, str) else "".join(stream)
+        )
         if records is not None:
             return records
-    reader = csv.reader(io.StringIO(stream) if lines is None else lines)
+    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
     if fmt == "long":
         try:
             header = next(reader)

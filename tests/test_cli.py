@@ -40,6 +40,23 @@ class TestIndicesCommand:
             "       2       2     1.0",
         ]
 
+    def test_fixture_columns_in_canonical_order(self, capsys):
+        # the fixture table stores its columns in the appendix order g, h2, h, ...
+        canonical = ["h", "m", "g", "h2", "A", "R", "hw", "N", "S", "C"]
+        code, out, _ = run_cli(capsys, "indices", "--fixture")
+        assert code == 0
+        assert out.splitlines()[0].split() == ["scientist"] + canonical
+        code, out, _ = run_cli(capsys, "indices", "--fixture", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["columns"] == canonical
+        table = fixture_table()
+        assert list(payload["rows"]) == list(table.labels)
+        for label, row in payload["rows"].items():
+            assert list(row) == canonical
+            i = table.labels.index(label)
+            assert row == {c: table.column(c)[i] for c in canonical}
+
     def test_five_paper_record_values(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("x,3,10,5,4,8\n")

@@ -56,9 +56,6 @@ _FIELD_LIMIT = csv.field_size_limit()
 ROW_READER_CASES = {
     "lone CR": HEADER + "a,5\rb,3\n",
     "lone CR at the end": HEADER + "a,5\nb,3\r",
-    "blank line": HEADER + "a,5\n\nb,3\n",
-    "blank CRLF line": "scientist,citations\r\na,5\r\n\r\nb,3\r\n",
-    "whitespace-only line": HEADER + "a,5\n \t \nb,3\n",
     "quoted label": HEADER + '"Doe, J.",5\na,3\n"Doe, J.",8\n',
     "quoted newline": HEADER + '"Doe\nJ.",5\nb,3\n',
     "negative count": HEADER + "a,10\na,-2\n",
@@ -79,6 +76,7 @@ ROW_READER_CASES = {
     "NUL in label": HEADER + "a\0b,5\n",
     "label beyond the field limit": HEADER + "x" * (_FIELD_LIMIT + 1) + ",5\n",
     "count beyond the field limit": HEADER + "a,5" + " " * _FIELD_LIMIT + "\n",
+    "blank line beyond the field limit": HEADER + "a,5\n" + " " * (_FIELD_LIMIT + 1) + "\nb,3\n",
 }
 
 # Inputs the columnar path must parse itself.
@@ -86,6 +84,12 @@ COLUMNAR_CASES = {
     "LF": HEADER + "a,10\nb,0\na,3\n",
     "CRLF": "scientist,citations\r\na,5\r\nb,3\r\na,7\r\n",
     "no trailing newline": HEADER + "a,5\nb,3",
+    "blank line": HEADER + "a,5\n\nb,3\n",
+    "blank CRLF line": "scientist,citations\r\na,5\r\n\r\nb,3\r\n",
+    "whitespace-only line": HEADER + "a,5\n \t \nb,3\n",
+    "trailing blank line": HEADER + "a,5\nb,3\n\n",
+    "trailing whitespace without newline": HEADER + "a,5\nb,3\n \x0c",
+    "only blank lines after a row": HEADER + "a,5\n\n\n  \n",
     "padded labels and counts": HEADER + "  a ,5\na, 3 \n\tb\t,2\n\x0ca,1\n",
     "header case and padding": " Scientist , CITATIONS \nA,1\n",
     "count syntax of int()": HEADER + "a,+5\na,1_000\na,３\na,007\na,-0\n",
@@ -121,8 +125,10 @@ def _random_long_text(rng):
         u = rng.random()
         if u < 0.02:
             count = odd_counts[rng.integers(len(odd_counts))]
-        elif u < 0.03:
+        elif u < 0.025:
             lines.append("")
+        elif u < 0.03:
+            lines.append(" \t")
         elif u < 0.04:
             count += ",9"
         elif u < 0.05:
@@ -170,6 +176,18 @@ class TestParseCitationsLongEquivalence:
         counts = rng.integers(0, 10**6, 40_000)
         text = HEADER + "".join(f"s{a},{c}\n" for a, c in zip(labels, counts))
         assert len(text) > 4 * tables._BLOCK_CHARS
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+
+    @pytest.mark.parametrize("block_chars", [1 << 16, 64])
+    def test_blank_lines_across_blocks(self, monkeypatch, block_chars):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(5)
+        lines = [f"s{a},{c}" for a, c in zip(rng.integers(0, 300, 20_000),
+                                             rng.integers(0, 10**5, 20_000))]
+        for i in sorted(rng.choice(len(lines), 50, replace=False), reverse=True):
+            lines.insert(i, ["", "  ", "\t"][i % 3])
+        text = HEADER + "\n".join(lines) + "\n\n"
         assert tables._parse_long_columns(text) is not None
         assert _parsed(text) == oracle_parse_citations_long(text)
 
