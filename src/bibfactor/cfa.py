@@ -1,10 +1,12 @@
 """Confirmatory factor analysis with a fixed loading pattern.
 
 Fits the standardized model Sigma = Lambda Phi Lambda' + Theta by maximum
-likelihood (factor variances fixed to 1, Theta diagonal) with a quasi-Newton
-search. One closed-form dSigma/dtheta gives the gradient tr(G dSigma/dtheta_a),
-G = Sigma^-1 - Sigma^-1 S Sigma^-1, and the expected information, whose inverse
-scaled by 2 / (n - 1) gives the standard errors (Joreskog 1969).
+likelihood (factor variances fixed to 1, Theta diagonal) by bounded Fisher
+scoring. One closed-form dSigma/dtheta gives the gradient tr(G dSigma/dtheta_a),
+G = Sigma^-1 - Sigma^-1 S Sigma^-1, and the expected information
+tr(Sigma^-1 dSigma/dtheta_a Sigma^-1 dSigma/dtheta_b). Each scoring step solves
+that information for the free coordinates (Joreskog 1969; Lee & Jennrich
+1979), and its inverse scaled by 2 / (n - 1) gives the standard errors.
 
 The analyzed moment matrix here is a correlation matrix, which is what the
 rest of the pipeline produces; standard errors computed on correlation input
@@ -13,11 +15,12 @@ carry the usual caveat and should be read as indicative.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConvergenceError,
@@ -29,6 +32,13 @@ from .stats import normal_cdf
 
 _THETA_FLOOR = 1e-4
 _PHI_BOUND = 0.999
+# a scoring step that lowers F by less than _TOL * (1 + F) ends the search
+_TOL = 1e-12
+_MAX_ITER = 2000
+# halvings of one step before the search gives up on lowering F
+_MAX_HALVINGS = 50
+# widest band next to a bound in which a coordinate may count as active
+_ACTIVE_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,58 @@ def _sigma_derivatives(loadings, phi, spec, pairs):
     )
 
 
-def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
+class _Solution(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def minimize(fun, x0, *, information, lower, upper):
+    """Minimize F over the box [lower, upper] by projected Fisher scoring.
+
+    ``fun(x)`` returns (F, gradient), with F = inf where Sigma is not
+    positive definite; ``information(x)`` stands in for the Hessian. The
+    active set holds the coordinates within epsilon of the bound that their
+    gradient pushes them towards, with epsilon no wider than the projected
+    gradient (Bertsekas 1982). Active coordinates take a gradient step
+    scaled by their diagonal of the information, the free ones the scoring
+    step on their block of it. The step, clipped to the box, is halved
+    while F rises, and the search stops at the first step that lowers F by
+    less than _TOL * (1 + F). ``nit`` counts steps.
+    """
+    x = np.clip(x0, lower, upper)
+    f, grad = fun(x)
+    nfev = 1
+    if not math.isfinite(f):
+        return _Solution(x, f, 0, nfev, False)
+    for nit in range(1, _MAX_ITER + 1):
+        band = min(_ACTIVE_BAND, np.abs(x - np.clip(x - grad, lower, upper)).max())
+        free = np.where(grad > 0, x - lower, upper - x) > band
+        try:
+            hessian = information(x)
+            step = -grad / np.diagonal(hessian)
+            step[free] = -np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
+        except np.linalg.LinAlgError:
+            return _Solution(x, f, nit - 1, nfev, False)
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x + step, lower, upper)
+            f_trial, grad_trial = fun(trial)
+            nfev += 1
+            if f_trial <= f:
+                break
+            step /= 2.0
+        else:
+            return _Solution(x, f, nit - 1, nfev, False)
+        decrease = f - f_trial
+        x, f, grad = trial, f_trial, grad_trial
+        if decrease < _TOL * (1.0 + f):
+            return _Solution(x, f, nit, nfev, True)
+    return _Solution(x, f, _MAX_ITER, nfev, False)
+
+
+def cfa_fit(corr, n_obs, spec):
     """Fit the confirmatory model to a correlation matrix.
 
     Parameters
@@ -176,14 +237,15 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
     n_obs : int
         Number of observations behind ``corr``; needs n_obs > p.
     spec : PatternSpec
-    max_iter, ftol, gtol : optimizer budget and tolerances.
 
     Returns
     -------
     CFAFit
         The discrepancy is F = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, zero
-        exactly when Sigma(theta) = S. Uniquenesses are bounded below at
-        1e-4; hitting that bound flags a Heywood case.
+        exactly when Sigma(theta) = S, minimized by bounded Fisher scoring;
+        ``iterations`` counts scoring steps. Uniquenesses are bounded below
+        at 1e-4 and factor correlations by 0.999 in absolute value; a
+        uniqueness on its bound flags a Heywood case.
     """
     if tuple(corr.labels) != tuple(spec.labels):
         raise ValidationError("correlation labels do not match the pattern")
@@ -191,8 +253,7 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
     if n_obs <= p:
         raise ValidationError("need more observations than variables")
     s = np.asarray(corr.values)
-    sign, log_det_s = np.linalg.slogdet(s)
-    if sign <= 0:
+    if np.linalg.slogdet(s)[0] <= 0:
         raise ValidationError("sample matrix must be positive definite")
 
     n_load = int(spec.loadings_free.sum())
@@ -204,35 +265,39 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
     def objective(theta):
         loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
         sigma = _implied(loadings, phi, theta_diag)
-        sig, log_det = np.linalg.slogdet(sigma)
-        if sig <= 0:
-            return 1e12, np.zeros(dim)
         try:
-            inv = np.linalg.inv(sigma)
+            root_inv = np.linalg.inv(np.linalg.cholesky(sigma))
         except np.linalg.LinAlgError:
-            return 1e12, np.zeros(dim)
-        value = float(log_det + (s * inv).sum() - log_det_s - p)
+            return math.inf, None
+        inv = root_inv.T @ root_inv
+        # F = sum(lambda - ln lambda - 1) over the eigenvalues of Sigma^-1 S,
+        # a sum of non-negative terms that stays >= 0 at an exact fit
+        excess = np.linalg.eigvalsh(root_inv @ s @ root_inv.T) - 1.0
+        value = float((excess - np.log1p(excess)).sum())
         g = inv - inv @ s @ inv
         derivatives = _sigma_derivatives(loadings, phi, spec, pairs)
         return value, np.einsum("ij,aij->a", g, derivatives)
 
+    def information(theta):
+        # tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b), the Hessian of F where
+        # Sigma = S: the scoring steps and the standard errors both use it
+        loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
+        weighted = np.linalg.inv(_implied(loadings, phi, theta_diag)) @ (
+            _sigma_derivatives(loadings, phi, spec, pairs)
+        )
+        return np.einsum("aij,bji->ab", weighted, weighted)
+
     start = np.concatenate(
         [np.full(n_load, 0.7), np.full(n_pairs, 0.3), np.full(p, 0.5)]
-    )
-    bounds = (
-        [(None, None)] * n_load
-        + [(-_PHI_BOUND, _PHI_BOUND)] * n_pairs
-        + [(_THETA_FLOOR, None)] * p
     )
     result = minimize(
         objective,
         start,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": max_iter, "ftol": ftol, "gtol": gtol},
+        information=information,
+        lower=np.repeat([-np.inf, -_PHI_BOUND, _THETA_FLOOR], [n_load, n_pairs, p]),
+        upper=np.repeat([np.inf, _PHI_BOUND, np.inf], [n_load, n_pairs, p]),
     )
-    if not np.isfinite(result.fun) or result.fun >= 1e12:
+    if not math.isfinite(result.fun):
         raise ConvergenceError(
             "the search never reached an admissible covariance matrix",
             last_iterate=result.x,
@@ -248,11 +313,7 @@ def cfa_fit(corr, n_obs, spec, max_iter=2000, ftol=1e-11, gtol=1e-8):
         )
 
     try:
-        weighted = np.linalg.inv(_implied(loadings, phi, theta_diag)) @ (
-            _sigma_derivatives(loadings, phi, spec, pairs)
-        )
-        information = np.einsum("aij,bji->ab", weighted, weighted)
-        covariance = np.linalg.inv(information) * 2.0 / (n_obs - 1)
+        covariance = np.linalg.inv(information(result.x)) * 2.0 / (n_obs - 1)
         se_vector = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     except np.linalg.LinAlgError:
         se_vector = np.full(dim, np.nan)

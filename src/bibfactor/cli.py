@@ -28,7 +28,7 @@ from .efa import (
     categorize,
     efa_pipeline,
 )
-from .errors import BibfactorError, ConvergenceError
+from .errors import BibfactorError, ConvergenceError, ParseError
 from .fixture import fixture_table
 from .indices import GConvention
 from .stats import Transform, apply_transform, column_summary
@@ -92,11 +92,29 @@ def _resolve_vars(spec_text):
 
 
 def _read_text(path):
+    """The file's text; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path):
+    """ParseError at the first byte of ``path`` that is not valid UTF-8."""
+    # the text reader decodes in chunks, so its error offset is not the file's
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(
+            f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not valid UTF-8",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        )
+    return ParseError("the file is not valid UTF-8")
 
 
 def _load_table(args):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
 
 from bibfactor import (
+    ConvergenceError,
     CorrelationMatrix,
     HeywoodWarning,
     LoadingMatrix,
@@ -17,6 +20,7 @@ from bibfactor.efa import ExtractionSettings, efa_pipeline
 from bibfactor.fixture import CFA_RAW_PATTERN, fixture_table
 from bibfactor.stats import Transform
 from bibfactor.tables import VARIABLE_SETS
+from oracles import oracle_cfa_fit
 
 
 def simple_mask(p, m):
@@ -61,6 +65,23 @@ def criterion_12_models():
             CorrelationMatrix(labels, sigma),
             PatternSpec(labels, mask, ~np.eye(2, dtype=bool)),
         )
+
+
+def fixture_model():
+    """Correlation matrix, pattern and n of the paper's 7+NC raw follow-up."""
+    variables = VARIABLE_SETS["7+NC"]
+    table = fixture_table()
+    values = np.column_stack([table.column(v) for v in variables])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeywoodWarning)
+        corr = efa_pipeline(
+            values, variables, Transform("raw"), ExtractionSettings(), "varimax"
+        ).correlation
+    mask = np.zeros((len(variables), 2), dtype=bool)
+    for factor, members in CFA_RAW_PATTERN.items():
+        for v in members:
+            mask[variables.index(v), factor - 1] = True
+    return corr, PatternSpec(variables, mask, ~np.eye(2, dtype=bool)), table.n_rows
 
 
 def fit_with_objective(monkeypatch, corr, n_obs, spec):
@@ -302,3 +323,83 @@ class TestCfaFit:
             fit = cfa_fit(corr, 100, spec)
         assert fit.heywood[0]
         assert fit.r_squared[0] <= 1.0
+
+
+class TestScoringAgainstLbfgsb:
+    """The scoring fit against the L-BFGS-B fit it replaced (tests/oracles.py).
+
+    L-BFGS-B stops early, so parameters agree within a bound, not exactly:
+    5e-4 on loadings and 5e-5 on phi and uniquenesses for the fixture, 5e-6
+    on all three for criterion 12's exact-fit models.
+    """
+
+    @staticmethod
+    def check(corr, spec, n_obs, bounds):
+        fit = cfa_fit(corr, n_obs, spec)
+        oracle = oracle_cfa_fit(corr.values, spec.loadings_free, spec.phi_free)
+        assert fit.converged
+        assert fit.discrepancy <= oracle["discrepancy"] + 1e-12
+        for name, bound in zip(("loadings", "phi", "uniquenesses"), bounds):
+            assert np.abs(getattr(fit, name) - oracle[name]).max() <= bound, name
+        return fit
+
+    def test_fixture(self):
+        corr, spec, n_obs = fixture_model()
+        with pytest.warns(HeywoodWarning):
+            fit = self.check(corr, spec, n_obs, (5e-4, 5e-5, 5e-5))
+        assert fit.discrepancy <= 7.5232731533
+        assert fit.iterations <= 20
+        assert [v for v, flag in zip(spec.labels, fit.heywood) if flag] == ["A"]
+
+    def test_criterion_12_models(self):
+        for corr, spec in criterion_12_models():
+            fit = self.check(corr, spec, 200, (5e-6, 5e-6, 5e-6))
+            assert fit.iterations <= 10
+
+
+class TestBoundedScoring:
+    def test_box_constrained_quadratics_meet_kkt(self):
+        # for a convex quadratic the information is its Hessian, so the
+        # search must land on the box minimizer: zero gradient on free
+        # coordinates, a gradient pushing outward on the ones at a bound
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            dim = int(rng.integers(1, 8))
+            root = rng.normal(size=(dim, dim))
+            hessian = root @ root.T + 0.1 * np.eye(dim)
+            centre = rng.normal(scale=2.0, size=dim)
+            edge = rng.normal(size=dim)
+            lower = np.where(rng.random(dim) < 0.7, edge, -np.inf)
+            upper = np.where(rng.random(dim) < 0.7, edge + rng.uniform(0.1, 2.0, dim), np.inf)
+
+            def fun(x):
+                d = x - centre
+                return 0.5 * d @ hessian @ d, hessian @ d
+
+            start = np.clip(rng.normal(size=dim), lower, upper)
+            result = cfa_mod.minimize(
+                fun, start, information=lambda x: hessian, lower=lower, upper=upper
+            )
+            assert result.success
+            assert result.nfev >= result.nit + 1
+            grad = fun(result.x)[1]
+            tol = 1e-6 * (1.0 + np.abs(hessian @ centre).max())
+            at_lower = result.x == lower
+            at_upper = result.x == upper
+            inside = ~(at_lower | at_upper)
+            assert np.abs(grad[inside]).max(initial=0.0) <= tol
+            assert (grad[at_lower] >= -tol).all()
+            assert (grad[at_upper] <= tol).all()
+
+    def test_inadmissible_start_raises(self):
+        # a star of free factor correlations at their start value 0.3 makes
+        # Phi indefinite enough that Sigma at the start is not positive
+        # definite, and F is then inf at the only point the search has
+        m = 27
+        mask = np.repeat(np.eye(m, dtype=bool), 2, axis=0)
+        phi_free = np.zeros((m, m), dtype=bool)
+        phi_free[0, 1:] = phi_free[1:, 0] = True
+        labels = tuple(f"v{i}" for i in range(2 * m))
+        corr = CorrelationMatrix(labels, np.eye(2 * m))
+        with pytest.raises(ConvergenceError, match="admissible"):
+            cfa_fit(corr, 100, PatternSpec(labels, mask, phi_free))

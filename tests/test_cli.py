@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bibfactor
 from bibfactor import cli, fixture_table, indicator_table_to_csv
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
@@ -14,6 +19,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # in a fresh interpreter: the test oracles import scipy.optimize into this one
+    src = str(Path(bibfactor.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bibfactor.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 class TestIndicesCommand:
@@ -133,6 +150,34 @@ class TestIndicesCommand:
         assert code == 2
         assert out == ""
         assert "line 3: non-finite cell 'nan'" in err
+
+    @pytest.mark.parametrize(
+        "argv, content, where",
+        [
+            (("indices",), b"scientist,citations\na,5\nb,\xff\xfe3\n",
+             "line 3: byte 0xff at offset 26"),
+            (("efa", "--format", "wide"), b"a,3,10\n\xff\xfe,1,2\n",
+             "line 2: byte 0xff at offset 7"),
+        ],
+    )
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path, argv, content, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where} is not valid UTF-8\n"
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        text = "scientist,citations\na,5\na,3\nb,2\n"
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.csv"
+            path.write_text(text, encoding=encoding)
+            outputs.append(run_cli(capsys, "indices", "--input", str(path), "--json"))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "indices", "--input", "/no/such/file.csv")
