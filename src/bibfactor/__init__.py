@@ -70,6 +70,7 @@ from .stats import (
     KSResult,
     Transform,
     apply_transform,
+    column_summaries,
     column_summary,
     describe,
     fit_distspec,

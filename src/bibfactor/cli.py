@@ -31,7 +31,7 @@ from .efa import (
 from .errors import BibfactorError, ConvergenceError, ParseError
 from .fixture import fixture_table
 from .indices import GConvention
-from .stats import Transform, apply_transform, column_summary
+from .stats import Transform, apply_transform, column_summaries
 from .tables import (
     INDICATOR_COLUMNS,
     VARIABLE_SETS,
@@ -180,10 +180,10 @@ _DESCRIBE_ROWS = (
 
 def _cmd_describe(args):
     values, variables, transform, _ = _model_input(args)
-    stats = {
-        v: column_summary(apply_transform(values[:, j], transform), args.df)
-        for j, v in enumerate(variables)
-    }
+    # transformed lazily, so a column that fails to transform raises after
+    # the columns before it, as in a per-column loop
+    stats = dict(zip(variables, column_summaries(
+        (apply_transform(column, transform) for column in values.T), args.df)))
 
     def as_text():
         rows = [

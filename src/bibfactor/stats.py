@@ -16,7 +16,12 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, kolmogorov, ndtr, stdtr
 
-from .errors import InsufficientDataError, ValidationError, ZeroVarianceError
+from .errors import (
+    BibfactorError,
+    InsufficientDataError,
+    ValidationError,
+    ZeroVarianceError,
+)
 
 
 class Transform(Enum):
@@ -141,22 +146,16 @@ def student_cdf(x, df):
     return stdtr(df, x)
 
 
-def _student_logpdf(z, df):
-    return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
-        - 0.5 * np.log(df * math.pi)
-        - (df + 1.0) / 2.0 * np.log1p(z * z / df)
-    )
-
-
-# df grid, degenerate-scale guard and EM stop rule of fit_student_ml
+# df grid, degenerate-scale guard and EM stop rule of the ML Student fit
 _STUDENT_DF_GRID = np.exp(np.linspace(math.log(1.0), math.log(1000.0), 200))
 _MIN_SCALE_FRACTION = 0.25
 _EM_TOL = 1e-10
 _EM_MAX_ITER = 500
-# candidates per EM block: max(1, this // n), so its work arrays stay cache-sized
+# candidates per EM block: max(1, _EM_BLOCK_CELLS // n), so that its work
+# arrays stay cache-sized, and at most _EM_BLOCK_ROWS, which bounds them for
+# a stack of small samples as well
 _EM_BLOCK_CELLS = 65536
+_EM_BLOCK_ROWS = 512
 
 
 def _sample(values):
@@ -171,13 +170,24 @@ def _sample(values):
     return x, sd
 
 
-def _em_block(x, df, mu, sigma, w_buf, t_buf):
-    """Iterate the EM of one block of df candidates to convergence.
+def _gather(stack, col, x_buf):
+    """The samples of candidates ``col``, copied into the head of ``x_buf``."""
+    # mode="clip" writes straight into x_buf (every index is in range), where
+    # the default mode would copy through a temporary
+    return np.take(stack, col, axis=0, out=x_buf[:col.size], mode="clip")
 
-    ``mu`` and ``sigma`` hold the start values and are updated in place;
+
+def _em_block(stack, col, df, mu, sigma, x_buf, w_buf, t_buf):
+    """Iterate the EM of one block of candidates to convergence.
+
+    Candidate i fits sample ``stack[col[i]]`` at ``df[i]``. ``mu`` and
+    ``sigma`` hold the start values and are updated in place; ``x_buf``,
     ``w_buf`` and ``t_buf`` are work arrays with at least ``df.size`` rows.
+    A candidate leaves the block once it converges, and the samples of the
+    rest are compacted into the head of ``x_buf``.
     """
     active = np.arange(df.size)
+    x = _gather(stack, col, x_buf)
     for _ in range(_EM_MAX_ITER):
         d, m, s = df[active, None], mu[active], sigma[active]
         w, t = w_buf[:active.size], t_buf[:active.size]
@@ -191,14 +201,75 @@ def _em_block(x, df, mu, sigma, w_buf, t_buf):
         np.subtract(x, m_new[:, None], out=t)
         np.square(t, out=t)
         w *= t
-        s_new = np.sqrt(np.sum(w, axis=1) / x.size)
+        s_new = np.sqrt(np.sum(w, axis=1) / stack.shape[1])
         done = (np.abs(m_new - m) < _EM_TOL * (1.0 + np.abs(m))) & (
             np.abs(s_new - s) < _EM_TOL * (1.0 + s)
         )
         mu[active], sigma[active] = m_new, s_new
-        active = active[~done]
-        if not active.size:
-            return
+        if done.any():
+            active = active[~done]
+            if not active.size:
+                return
+            x = _gather(stack, col[active], x_buf)
+
+
+def _student_loglik(stack, col, df, mu, sigma, x_buf, t_buf):
+    """Student log-likelihood of each candidate of a block, summed in ``t_buf``."""
+    t = t_buf[:col.size]
+    np.subtract(_gather(stack, col, x_buf), mu[:, None], out=t)
+    t /= sigma[:, None]
+    np.square(t, out=t)
+    t /= df[:, None]
+    np.log1p(t, out=t)
+    t *= ((df + 1.0) / 2.0)[:, None]
+    norm = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
+    np.subtract(norm[:, None], t, out=t)
+    return np.sum(t, axis=1) - stack.shape[1] * np.log(sigma)
+
+
+def _student_ml_stack(stack, sd):
+    """ML Student fits of the rows of a (k, n) sample ``stack`` with sds ``sd``.
+
+    One EM runs all k * 200 candidates: candidate r fits row r // 200 at
+    the (r % 200)-th df of the grid, in blocks that may cross rows.
+    Returns a list of k DistSpecs, None where no candidate is admissible.
+    """
+    k, n = stack.shape
+    grid = _STUDENT_DF_GRID.size
+    col = np.repeat(np.arange(k), grid)
+    df = np.tile(_STUDENT_DF_GRID, k)
+    mu = np.repeat(np.median(stack, axis=1), grid)
+    sigma = np.repeat(sd, grid)
+    loglik = np.empty(df.size)
+    rows = min(df.size, _EM_BLOCK_ROWS, max(1, _EM_BLOCK_CELLS // n))
+    x_buf, w_buf, t_buf = np.empty((3, rows, n))
+    for start in range(0, df.size, rows):
+        block = slice(start, start + rows)
+        _em_block(stack, col[block], df[block], mu[block], sigma[block],
+                  x_buf, w_buf, t_buf)
+        loglik[block] = _student_loglik(stack, col[block], df[block], mu[block],
+                                        sigma[block], x_buf, t_buf)
+    rejected = (sigma < _MIN_SCALE_FRACTION * np.repeat(sd, grid)).reshape(k, grid)
+    best = np.argmax(np.where(rejected, -np.inf, loglik.reshape(k, grid)), axis=1)
+    return [
+        None if out.all() else
+        DistSpec(family="student", location=float(mu[r]), scale=float(sigma[r]),
+                 df=float(df[r]))
+        for out, r in zip(rejected, np.arange(k) * grid + best)
+    ]
+
+
+def _student_fits(samples):
+    """The ML Student fit of each ``(x, sd)`` of ``samples``, None where no
+    candidate is admissible; samples of one size share one stacked EM."""
+    fits = [None] * len(samples)
+    for n in {x.size for x, _ in samples}:
+        same = [i for i, (x, _) in enumerate(samples) if x.size == n]
+        stack = np.stack([samples[i][0] for i in same])
+        sd = np.array([samples[i][1] for i in same])
+        for i, fit in zip(same, _student_ml_stack(stack, sd)):
+            fits[i] = fit
+    return fits
 
 
 def fit_student_ml(values):
@@ -211,29 +282,18 @@ def fit_student_ml(values):
     after 500 iterations. The likelihood is unbounded on tied data (scale
     -> 0 around a repeated value), so candidates with scale below 0.25 * sd
     are rejected as degenerate; the first of highest log-likelihood among
-    the rest wins. Candidates run in blocks of max(1, 65536 // n) df
-    values, which keeps the work arrays cache-sized and does not change the
-    result.
+    the rest wins.
+
+    This is the one-sample case of a stacked EM: :func:`column_summaries`
+    runs the 200 candidates of every column of a table as the rows of one
+    array, each row with its own stop. Rows run in blocks of
+    min(512, max(1, 65536 // n)), which may cross columns; that keeps the
+    work arrays cache-sized and does not change any fit.
     """
-    x, sd = _sample(values)
-    df = _STUDENT_DF_GRID
-    mu = np.full(df.size, float(np.median(x)))
-    sigma = np.full(df.size, sd)
-    loglik = np.empty(df.size)
-    rows = min(df.size, max(1, _EM_BLOCK_CELLS // x.size))
-    w_buf, t_buf = np.empty((2, rows, x.size))
-    for start in range(0, df.size, rows):
-        block = slice(start, start + rows)
-        _em_block(x, df[block], mu[block], sigma[block], w_buf, t_buf)
-        z = (x - mu[block, None]) / sigma[block, None]
-        loglik[block] = (np.sum(_student_logpdf(z, df[block, None]), axis=1)
-                         - x.size * np.log(sigma[block]))
-    rejected = sigma < _MIN_SCALE_FRACTION * sd
-    if rejected.all():
+    (fit,) = _student_fits([_sample(values)])
+    if fit is None:
         raise ZeroVarianceError("no admissible Student fit for this sample")
-    best = int(np.argmax(np.where(rejected, -np.inf, loglik)))
-    return DistSpec(family="student", location=float(mu[best]),
-                    scale=float(sigma[best]), df=float(df[best]))
+    return fit
 
 
 def fit_distspec(values, family, df=None):
@@ -310,12 +370,44 @@ def column_summary(values, df=None):
     ``p_normal``) and Student (``D_student``, ``p_student``) references, in
     that order. ``df`` fixes the Student df as in :func:`fit_distspec`; by
     default all three Student parameters are fitted by maximum likelihood.
+    This is :func:`column_summaries` of one column.
     """
-    d = describe(values)
-    ks_n = ks_test(values, fit_distspec(values, "normal"))
-    ks_s = ks_test(values, fit_distspec(values, "student", df=df))
-    return {
-        "mean": d.mean, "median": d.median, "sd": d.sd,
-        "D_normal": ks_n.d, "p_normal": ks_n.p_value,
-        "D_student": ks_s.d, "p_student": ks_s.p_value,
-    }
+    return column_summaries([values], df)[0]
+
+
+def column_summaries(columns, df=None):
+    """The :func:`column_summary` dict of each sample of ``columns``, in order.
+
+    Equal to ``[column_summary(c, df) for c in columns]``, but the maximum-
+    likelihood Student fits of all samples of one size run as one stacked
+    EM (see :func:`fit_student_ml`), so a table costs one EM, not one per
+    column. Errors are that loop's as well: the first column that fails, in
+    column order, raises what ``column_summary`` would raise for it, and an
+    error raised by iterating ``columns`` (a column transformed lazily,
+    say) counts as a failure of the column it was producing.
+    """
+    samples, error = [], None
+    try:
+        for values in columns:
+            samples.append(_sample(values))
+    except BibfactorError as exc:
+        error = exc
+    if df is None:
+        students = _student_fits(samples)
+    else:
+        students = [fit_distspec(x, "student", df=df) for x, _ in samples]
+    rows = []
+    for (x, _), student in zip(samples, students):
+        if student is None:
+            raise ZeroVarianceError("no admissible Student fit for this sample")
+        d = describe(x)
+        ks_n = ks_test(x, fit_distspec(x, "normal"))
+        ks_s = ks_test(x, student)
+        rows.append({
+            "mean": d.mean, "median": d.median, "sd": d.sd,
+            "D_normal": ks_n.d, "p_normal": ks_n.p_value,
+            "D_student": ks_s.d, "p_student": ks_s.p_value,
+        })
+    if error is not None:
+        raise error
+    return rows

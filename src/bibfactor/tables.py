@@ -94,11 +94,22 @@ def _parse_cell(text, line):
     return value
 
 
+def _csv_rows(stream):
+    """The rows of a csv reader over ``stream`` (a str or a text file).
+
+    A ``csv.Error`` (a lone carriage return, a cell beyond the field size
+    limit) becomes a :class:`ParseError` at the reader's line.
+    """
+    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def parse_indicator_table(stream):
     """Parse a CSV indicator table (label column first, then indicators)."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -282,7 +293,7 @@ def parse_citations(stream, fmt="long"):
         )
         if records is not None:
             return records
-    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    reader = _csv_rows(stream)
     if fmt == "long":
         try:
             header = next(reader)

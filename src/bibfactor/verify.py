@@ -27,7 +27,7 @@ from .efa import (
     kmo,
     promax,
 )
-from .stats import Transform, apply_transform, column_summary
+from .stats import Transform, apply_transform, column_summaries
 from .tables import VARIABLE_SETS
 
 
@@ -156,8 +156,9 @@ _STUDENT_P_NOTE = "Student p reported only; the published fitting rule is recons
 def _check_descriptives(report, table, scale):
     for table_id, spec in fx.DESCRIPTIVE_TABLES.items():
         transform = Transform(spec["transform"])
-        for variable, expected in spec["rows"].items():
-            row = column_summary(apply_transform(table.column(variable), transform))
+        rows = column_summaries([apply_transform(table.column(v), transform)
+                                 for v in spec["rows"]])
+        for (variable, expected), row in zip(spec["rows"].items(), rows):
             for (name, tol_key), e in zip(_DESCRIPTIVE_TOLERANCES.items(), expected):
                 note = (_STUDENT_P_NOTE if name == "p_student" else
                         fx.KNOWN_INCONSISTENT_CELLS.get((table_id, variable, name), ""))

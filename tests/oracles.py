@@ -233,16 +233,24 @@ def oracle_student_ml(values):
     return None if best is None else best[1:]
 
 
+def _oracle_csv_rows(reader):
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def oracle_parse_citations_long(stream):
     """Long-format citation records by the csv row loop.
 
     Returns ``[(label, counts)]`` in first-appearance order with counts
     sorted non-increasing, or raises ``ParseError`` with the line number of
-    the first bad row.
+    the first bad row; a row the csv reader cannot split raises it at the
+    reader's line count.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    reader = _oracle_csv_rows(csv.reader(stream))
     try:
         header = next(reader)
     except StopIteration:

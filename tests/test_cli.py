@@ -13,6 +13,7 @@ import bibfactor
 from bibfactor import cli, fixture_table, indicator_table_to_csv
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
+from bibfactor.tables import VARIABLE_SETS
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +169,26 @@ class TestIndicesCommand:
         assert out == ""
         assert err == f"error: {where} is not valid UTF-8\n"
 
+    @pytest.mark.parametrize(
+        "argv, content, where",
+        [
+            (("indices",), "scientist,citations\na,5\rb,3\n", "line 2: new-line character"),
+            (("indices", "--format", "wide"), "a,3,10\rb,1\n", "line 1: new-line character"),
+            (("describe", "--format", "indicators"), "scientist,h,g\na,5,1\nb,3,2\rc,1,1\n",
+             "line 3: new-line character"),
+            (("indices",), "scientist,citations\na,5\n" + "x" * 200_000 + ",3\n",
+             "line 3: field larger than field limit"),
+        ],
+        ids=["long lone CR", "wide lone CR", "indicators lone CR", "long field limit"],
+    )
+    def test_unsplittable_csv_exits_2(self, capsys, tmp_path, argv, content, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content.encode())
+        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}")
+
     def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
         text = "scientist,citations\na,5\na,3\nb,2\n"
         outputs = []
@@ -222,6 +243,44 @@ class TestDescribeCommand:
         assert payload["h"]["D_student"] == pytest.approx(
             payload["h"]["D_normal"], abs=5e-3
         )
+
+
+    @pytest.mark.parametrize("transform, columns, message", [
+        ("raw", {2: "constant"}, "sample is constant; cannot fit a scale"),
+        ("raw", {2: "collapsed", 4: "constant"}, "no admissible Student fit for this sample"),
+        ("ln", {2: "collapsed", 4: "zero"}, "no admissible Student fit for this sample"),
+        ("ln", {2: "zero", 4: "collapsed"}, "ln transform requires positive values"),
+    ])
+    def test_first_failing_column_decides_the_error(self, capsys, tmp_path, transform,
+                                                    columns, message):
+        # the error a per-column loop meets first, though the fits are stacked
+        rng = np.random.default_rng(3)
+        values = np.abs(rng.standard_t(4, size=(1001, 7))) + 1.0
+        for j, kind in columns.items():
+            if kind == "constant":
+                values[:, j] = 2.0
+            elif kind == "collapsed":
+                # ln of it is 1000 zeros and a one: every candidate collapses
+                values[:, j] = 1.0
+                values[0, j] = math.e
+            else:
+                values[7, j] = 0.0
+        variables = VARIABLE_SETS["7"]
+        lines = ["scientist," + ",".join(variables)]
+        lines += [f"s{i}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        path = tmp_path / "indicators.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path), "--format",
+                                 "indicators", "--transform", transform)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_one_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "indicators.csv"
+        path.write_text("scientist,h,g\na,5,7\n")
+        code, out, err = run_cli(capsys, "describe", "--input", str(path), "--format",
+                                 "indicators", "--vars", "h,g")
+        assert (code, out, err) == (2, "", "error: need at least 2 observations\n")
 
 
 class TestEfaCommand:

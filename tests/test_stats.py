@@ -5,12 +5,15 @@ import pytest
 import scipy.special
 
 from bibfactor import (
+    BibfactorError,
     DistSpec,
     InsufficientDataError,
     Transform,
     ValidationError,
     ZeroVarianceError,
     apply_transform,
+    column_summaries,
+    column_summary,
     describe,
     fit_distspec,
     fit_student_ml,
@@ -19,6 +22,8 @@ from bibfactor import (
     normal_cdf,
     student_cdf,
 )
+from bibfactor import stats
+from bibfactor.fixture import DESCRIPTIVE_TABLES
 from oracles import oracle_ks_d, oracle_student_cdf, oracle_student_ml
 
 
@@ -241,3 +246,121 @@ class TestKsTest:
 def test_non_finite_sample_rejected(call):
     with pytest.raises(ValidationError, match="non-finite value .* at position"):
         call()
+
+
+def _fixture_tables(fixture):
+    """The 21 columns of the descriptive tables: one list of 7 per table."""
+    return [
+        [apply_transform(fixture.column(v), Transform(spec["transform"]))
+         for v in spec["rows"]]
+        for spec in DESCRIPTIVE_TABLES.values()
+    ]
+
+
+def _stacked_fits(columns):
+    """(df, location, scale) of each column from one stacked EM."""
+    x = np.stack(columns)
+    fits = stats._student_ml_stack(x, x.std(axis=1, ddof=1))
+    return [None if f is None else (f.df, f.location, f.scale) for f in fits]
+
+
+class TestStackedStudentFits:
+    """The stacked EM against the scalar profile loop, column by column."""
+
+    def test_fixture_tables_as_three_stacks_and_as_one(self, fixture):
+        tables = _fixture_tables(fixture)
+        want = [oracle_student_ml(x) for columns in tables for x in columns]
+        per_table = [fit for columns in tables for fit in _stacked_fits(columns)]
+        assert per_table == want
+        # 21 * 200 candidates in blocks of 512, most of which cross columns
+        assert _stacked_fits([x for columns in tables for x in columns]) == want
+
+    @pytest.mark.parametrize("n", [26, 327, 328, 1337, 2000])
+    def test_t_draws_across_column_boundaries(self, n):
+        # blocks of 512, 200, 199, 49 and 32 candidates: at n = 327 they
+        # align with the columns, elsewhere they cross them, and the last
+        # block is a short one
+        rng = np.random.default_rng(n)
+        columns = [rng.standard_t(df=rng.uniform(1.0, 30.0), size=n) * rng.uniform(0.1, 10.0)
+                   for _ in range(10)]
+        assert _stacked_fits(columns) == [oracle_student_ml(x) for x in columns]
+
+    def test_tied_column_rejects_collapsed_candidates(self):
+        rng = np.random.default_rng(4)
+        tied = [4.0] * 7 + [2.0, 3.0, 3.0]
+        columns = [rng.normal(size=10), np.array(tied), rng.standard_t(3, size=10)]
+        fits = _stacked_fits(columns)
+        assert fits == [oracle_student_ml(x) for x in columns]
+        assert fits[1][2] >= 0.25 * float(np.std(tied, ddof=1))
+
+    def test_column_without_admissible_candidate(self):
+        rng = np.random.default_rng(6)
+        collapsed = np.r_[np.zeros(1000), 1.0]
+        columns = [rng.normal(size=1001), collapsed, rng.normal(size=1001)]
+        fits = _stacked_fits(columns)
+        assert fits[1] is None
+        assert fits == [oracle_student_ml(x) for x in columns]
+
+
+def _summary_loop(columns, df=None):
+    """Descriptive rows by a per-column loop of describe, fit_distspec and ks_test."""
+    rows = []
+    for values in columns:
+        d = describe(values)
+        ks_n = ks_test(values, fit_distspec(values, "normal"))
+        ks_s = ks_test(values, fit_distspec(values, "student", df=df))
+        rows.append({
+            "mean": d.mean, "median": d.median, "sd": d.sd,
+            "D_normal": ks_n.d, "p_normal": ks_n.p_value,
+            "D_student": ks_s.d, "p_student": ks_s.p_value,
+        })
+    return rows
+
+
+def _outcome(summarize, columns):
+    try:
+        return summarize(columns)
+    except BibfactorError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnSummaries:
+    @pytest.mark.parametrize("df", [None, 25])
+    def test_equals_per_column_loop_on_fixture(self, fixture, df):
+        for columns in _fixture_tables(fixture):
+            assert column_summaries(columns, df) == _summary_loop(columns, df)
+            assert [column_summary(x, df) for x in columns] == _summary_loop(columns, df)
+
+    def test_columns_of_several_sizes(self):
+        rng = np.random.default_rng(8)
+        columns = [rng.standard_t(4, size=n) for n in (26, 40, 26, 3, 40)]
+        assert column_summaries(iter(columns)) == _summary_loop(columns)
+
+    @pytest.mark.parametrize("bad, n", [
+        ([2.0] * 26, 26),
+        ([1.0, 2.0, math.nan] + [3.0] * 23, 26),
+        ([1.0], 26),
+        ([0.0] * 1000 + [1.0], 1001),
+    ], ids=["constant", "non-finite", "one value", "every candidate collapses"])
+    def test_first_failing_column_raises_as_the_loop_does(self, bad, n):
+        rng = np.random.default_rng(n)
+        good = [rng.standard_t(5, size=n) for _ in range(4)]
+        later = [[7.0] * n, [math.inf] * n, [], [0.0] * (n - 1) + [1.0]]
+        for after in later:
+            columns = good[:2] + [np.array(bad)] + good[2:3] + [np.array(after)] + good[3:]
+            got = _outcome(column_summaries, columns)
+            assert got == _outcome(_summary_loop, columns)
+            assert isinstance(got, tuple)
+
+    def test_error_while_iterating_comes_after_earlier_columns(self):
+        rng = np.random.default_rng(12)
+
+        def columns(second):
+            yield rng.normal(size=1001)
+            yield second
+            yield apply_transform([1.0, 0.0], Transform.LOG)
+
+        with pytest.raises(ZeroVarianceError, match="no admissible Student fit"):
+            column_summaries(columns(np.r_[np.zeros(1000), 1.0]))
+        with pytest.raises(ValidationError, match="ln transform requires positive"):
+            column_summaries(columns(rng.normal(size=1001)))
