@@ -252,9 +252,9 @@ def cfa_fit(corr, n_obs, spec):
     p = spec.p
     if n_obs <= p:
         raise ValidationError("need more observations than variables")
-    s = np.asarray(corr.values)
-    if np.linalg.slogdet(s)[0] <= 0:
+    if corr.eigenvalues[-1] <= 0:
         raise ValidationError("sample matrix must be positive definite")
+    s = np.asarray(corr.values)
 
     n_load = int(spec.loadings_free.sum())
     # free phi_ij with i < j in row-major order, theta's middle block

@@ -64,19 +64,27 @@ def _add_input_options(parser, formats=("long", "wide", "indicators")):
                              "input (default: padded)")
 
 
-def _add_output_options(parser):
+def _add_output_options(parser, formats=("json", "csv")):
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="JSON output")
-    group.add_argument("--csv", action="store_true", help="CSV output")
+    for name in formats:
+        group.add_argument(f"--{name}", action="store_true",
+                           help=f"{name.upper()} output")
 
 
-def _add_model_options(parser):
+def _add_model_options(parser, factors=True):
     parser.add_argument("--vars", default="7",
                         help="variable set: 7, 7+NS, 7+NC, 7+NSC or a "
                              "comma-separated list (default: 7)")
     parser.add_argument("--transform", choices=["raw", "ln", "ln1p", "sqrt"],
                         default="raw")
-    parser.add_argument("--factors", type=int, default=2)
+    if factors:
+        parser.add_argument("--factors", type=int, default=2)
+
+
+def _add_rotation_options(parser):
+    parser.add_argument("--rotation", choices=["none", "varimax", "promax"],
+                        default="varimax")
+    parser.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3)
 
 
 def _resolve_vars(spec_text):
@@ -94,27 +102,17 @@ def _resolve_vars(spec_text):
 def _read_text(path):
     """The file's text; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _not_utf8(path):
-    """ParseError at the first byte of ``path`` that is not valid UTF-8."""
-    # the text reader decodes in chunks, so its error offset is not the file's
-    with open(path, "rb") as handle:
-        data = handle.read()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        return ParseError(
+        raise ParseError(
             f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not valid UTF-8",
             line=data.count(b"\n", 0, exc.start) + 1,
-        )
-    return ParseError("the file is not valid UTF-8")
+        ) from None
 
 
 def _load_table(args):
@@ -128,32 +126,36 @@ def _load_table(args):
 
 
 def _model_input(args):
-    """Columns, labels, transform and settings of a describe/efa/cfa/bootstrap run."""
+    """Columns, labels and transform of a describe/efa/cfa/bootstrap run."""
     table = _load_table(args)
     variables = _resolve_vars(args.vars)
-    transform = Transform(args.transform)
-    settings = ExtractionSettings(n_factors=args.factors)
     values = np.column_stack([table.column(v) for v in variables])
-    return values, variables, transform, settings
+    return values, variables, Transform(args.transform)
 
 
 def _emit(args, text_fn, payload_fn, csv_fn=None):
     if args.json:
         print(json.dumps(payload_fn(), indent=2))
-    elif args.csv:
-        if csv_fn is None:
-            raise _UsageError("CSV output is not available for this command")
+    elif getattr(args, "csv", False):
         sys.stdout.write(csv_fn())
     else:
         print(text_fn())
 
 
+def _csv(header, rows):
+    """A header line, then one line per (label, floats) row, at repr precision."""
+    lines = [",".join(header)]
+    lines += [",".join([label, *(repr(float(x)) for x in values)])
+              for label, values in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_indices(args):
-    table = _load_table(args)
     columns = list(INDICATOR_COLUMNS)
+    table = _load_table(args).subset(columns)
 
     def rows():
-        return zip(table.labels, table.subset(columns).values.tolist())
+        return zip(table.labels, table.values.tolist())
 
     def as_text():
         decimals = [0 if c in _INT_COLUMNS else 1 for c in columns]
@@ -179,7 +181,7 @@ _DESCRIBE_ROWS = (
 
 
 def _cmd_describe(args):
-    values, variables, transform, _ = _model_input(args)
+    values, variables, transform = _model_input(args)
     # transformed lazily, so a column that fails to transform raises after
     # the columns before it, as in a per-column loop
     stats = dict(zip(variables, column_summaries(
@@ -193,10 +195,8 @@ def _cmd_describe(args):
         return render_text_table(["statistic"] + list(variables), rows)
 
     def as_csv():
-        lines = ["statistic," + ",".join(variables)]
-        for name, _ in _DESCRIBE_ROWS:
-            lines.append(name + "," + ",".join(repr(stats[v][name]) for v in variables))
-        return "\n".join(lines) + "\n"
+        return _csv(["statistic", *variables], (
+            (name, [stats[v][name] for v in variables]) for name, _ in _DESCRIBE_ROWS))
 
     _emit(args, as_text, lambda: stats, as_csv)
     return 0
@@ -210,8 +210,9 @@ def _loading_rows(labels, values, decimals=3):
 
 
 def _cmd_efa(args):
-    values, variables, transform, settings = _model_input(args)
-    result = efa_pipeline(values, variables, transform, settings,
+    values, variables, transform = _model_input(args)
+    result = efa_pipeline(values, variables, transform,
+                          ExtractionSettings(n_factors=args.factors),
                           args.rotation, kappa=args.kappa)
     quality = adequacy(result.correlation, len(values))
     cat = categorize(result.rotated, threshold=args.threshold)
@@ -287,19 +288,15 @@ def _cmd_efa(args):
             payload["phi"] = result.phi.tolist()
         return payload
 
-    def as_csv():
-        lines = ["variable," + ",".join(factor_names)]
-        for v, row in zip(variables, result.rotated.values):
-            lines.append(v + "," + ",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-    _emit(args, as_text, as_payload, as_csv)
+    _emit(args, as_text, as_payload, lambda: _csv(
+        ["variable", *factor_names], zip(variables, result.rotated.values)))
     return 0
 
 
 def _cmd_cfa(args):
-    values, variables, transform, settings = _model_input(args)
-    efa = efa_pipeline(values, variables, transform, settings, "varimax")
+    values, variables, transform = _model_input(args)
+    efa = efa_pipeline(values, variables, transform,
+                       ExtractionSettings(n_factors=args.factors), "varimax")
     spec = pattern_from_efa(efa.rotated, threshold=args.threshold,
                             assign_max=args.assign_max)
     fit = cfa_fit(efa.correlation, len(values), spec)
@@ -362,10 +359,10 @@ def _nan_to_none(matrix):
 
 
 def _cmd_bootstrap(args):
-    values, variables, transform, settings = _model_input(args)
+    values, variables, transform = _model_input(args)
     result = bootstrap_efa(
-        values, variables, transform, settings, args.rotation,
-        n_boot=args.B, seed=args.seed, kappa=args.kappa,
+        values, variables, transform, ExtractionSettings(n_factors=args.factors),
+        args.rotation, n_boot=args.B, seed=args.seed, kappa=args.kappa,
     )
 
     def as_text():
@@ -434,7 +431,7 @@ def build_parser():
 
     p = sub.add_parser("describe", help="moments and KS tests per indicator")
     _add_input_options(p)
-    _add_model_options(p)
+    _add_model_options(p, factors=False)
     p.add_argument("--df", type=float, default=None,
                    help="fix the Student df (default: fit by ML)")
     _add_output_options(p)
@@ -443,9 +440,7 @@ def build_parser():
     p = sub.add_parser("efa", help="exploratory factor analysis")
     _add_input_options(p)
     _add_model_options(p)
-    p.add_argument("--rotation", choices=["none", "varimax", "promax"],
-                   default="varimax")
-    p.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3)
+    _add_rotation_options(p)
     p.add_argument("--threshold", type=float, default=0.6,
                    help="categorization threshold (default: 0.6)")
     _add_output_options(p)
@@ -459,18 +454,16 @@ def build_parser():
     p.add_argument("--assign-max", action="store_true",
                    help="assign variables below the threshold to their "
                         "maximum-loading factor")
-    _add_output_options(p)
+    _add_output_options(p, formats=("json",))
     p.set_defaults(func=_cmd_cfa)
 
     p = sub.add_parser("bootstrap", help="bootstrap the EFA loadings")
     _add_input_options(p)
     _add_model_options(p)
-    p.add_argument("--rotation", choices=["none", "varimax", "promax"],
-                   default="varimax")
-    p.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3)
+    _add_rotation_options(p)
     p.add_argument("--B", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_options(p)
+    _add_output_options(p, formats=("json",))
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("verify", help="re-derive the published tables")

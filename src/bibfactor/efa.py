@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .stats import Transform, apply_transform
+from .stats import Transform, apply_transform, constant_samples
 
 _EIGEN_SYMMETRY_TOL = 1e-10
 _RELATIVE_RANK_TOL = 1e-12
@@ -220,7 +220,7 @@ def _correlations(x, labels):
     ZeroVarianceError naming the column.
     """
     B, n, p = x.shape
-    constant = x.std(axis=1) == 0.0
+    constant = constant_samples(x, axis=1)
     first = constant.argmax(axis=-1)
     errors = _no_errors(B)
     _fail(errors, constant.any(axis=-1),

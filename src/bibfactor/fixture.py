@@ -55,11 +55,15 @@ _cached_table = None
 
 
 def fixture_table():
-    """The embedded indicator table (26 rows x 10 columns), checksummed."""
+    """The embedded indicator table (26 rows x 10 columns), checksummed.
+
+    Every call returns the same table; its values are read-only.
+    """
     global _cached_table
     if _cached_table is None:
         labels = [row[0] for row in _APPENDIX_ROWS]
         values = np.array([row[1:] for row in _APPENDIX_ROWS], dtype=float)
+        values.setflags(write=False)
         table = IndicatorTable(labels, APPENDIX_COLUMNS, values)
         digest = hashlib.sha256(
             indicator_table_to_csv(table).encode("utf-8")

@@ -74,6 +74,16 @@ class KSResult:
     p_value: float
 
 
+# function, domain test and domain message of each transform but the identity
+_TRANSFORMS = {
+    Transform.LOG: (np.log, lambda x: x > 0, "ln transform requires positive values"),
+    Transform.LOG_SHIFTED: (np.log1p, lambda x: x > -1,
+                            "ln(x+1) transform requires values > -1"),
+    Transform.SQRT: (np.sqrt, lambda x: x >= 0,
+                     "sqrt transform requires non-negative values"),
+}
+
+
 def apply_transform(values, transform):
     """Apply a :class:`Transform` element-wise, preserving order.
 
@@ -81,33 +91,15 @@ def apply_transform(values, transform):
     offending position and the transform.
     """
     x = np.asarray(values, dtype=float)
+    if not isinstance(transform, Transform):
+        raise ValidationError(f"unknown transform {transform!r}")
     if transform is Transform.IDENTITY:
         return x.copy()
-    if transform is Transform.LOG:
-        bad = np.nonzero(~(x > 0))[0]
-        if bad.size:
-            raise ValidationError(
-                f"ln transform requires positive values; got {x[bad[0]]!r} "
-                f"at position {bad[0]}"
-            )
-        return np.log(x)
-    if transform is Transform.LOG_SHIFTED:
-        bad = np.nonzero(~(x > -1))[0]
-        if bad.size:
-            raise ValidationError(
-                f"ln(x+1) transform requires values > -1; got {x[bad[0]]!r} "
-                f"at position {bad[0]}"
-            )
-        return np.log1p(x)
-    if transform is Transform.SQRT:
-        bad = np.nonzero(~(x >= 0))[0]
-        if bad.size:
-            raise ValidationError(
-                f"sqrt transform requires non-negative values; got {x[bad[0]]!r} "
-                f"at position {bad[0]}"
-            )
-        return np.sqrt(x)
-    raise ValidationError(f"unknown transform {transform!r}")
+    function, in_domain, requirement = _TRANSFORMS[transform]
+    bad = np.nonzero(~in_domain(x))[0]
+    if bad.size:
+        raise ValidationError(f"{requirement}; got {x[bad[0]]!r} at position {bad[0]}")
+    return function(x)
 
 
 def _finite(values):
@@ -158,16 +150,26 @@ _EM_BLOCK_CELLS = 65536
 _EM_BLOCK_ROWS = 512
 
 
+def constant_samples(x, axis=None):
+    """Mask of the samples along ``axis`` of ``x`` that are constant (by
+    default ``x`` is one sample).
+
+    A sample is constant when all its values are equal or its sd is 0.
+    Neither test alone will do: rounding leaves ln of 26 equal values an sd
+    of 1e-16, and squares of tiny deviations can underflow to an sd of 0.
+    """
+    return (x == x.take([0], axis=axis)).all(axis=axis) | (x.std(axis=axis) == 0.0)
+
+
 def _sample(values):
     """The sample as a float array and its sd; needs n >= 2, finite values
-    and sd > 0."""
+    and a sample that is not constant."""
     x = _finite(values)
     if x.size < 2:
         raise InsufficientDataError("need at least 2 observations")
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
+    if constant_samples(x):
         raise ZeroVarianceError("sample is constant; cannot fit a scale")
-    return x, sd
+    return x, float(x.std(ddof=1))
 
 
 def _gather(stack, col, x_buf):

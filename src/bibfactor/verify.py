@@ -101,35 +101,16 @@ class VerifyReport:
 
 
 def _num(report, table, cell, expected, computed, tol, binding=True, note=""):
-    passed = abs(computed - expected) <= tol
-    report.checks.append(
-        CheckResult(
-            table=table,
-            cell=cell,
-            expected=f"{expected:.6g}",
-            computed=f"{computed:.6g}",
-            tolerance=tol,
-            passed=bool(passed),
-            binding=binding,
-            note=note,
-        )
-    )
+    _cond(report, table, cell, f"{expected:.6g}", f"{computed:.6g}",
+          abs(computed - expected) <= tol, binding, note, tolerance=tol)
 
 
 def _cond(report, table, cell, expected_text, computed_text, passed,
-          binding=True, note=""):
-    report.checks.append(
-        CheckResult(
-            table=table,
-            cell=cell,
-            expected=expected_text,
-            computed=computed_text,
-            tolerance=None,
-            passed=bool(passed),
-            binding=binding,
-            note=note,
-        )
-    )
+          binding=True, note="", tolerance=None):
+    report.checks.append(CheckResult(
+        table=table, cell=cell, expected=expected_text, computed=computed_text,
+        tolerance=tolerance, passed=bool(passed), binding=binding, note=note,
+    ))
 
 
 def _check_consistency(report, table, scale):

@@ -300,6 +300,25 @@ class TestCfaFit:
         with pytest.raises(ValidationError):
             cfa_fit(corr, 100, other)
 
+    def test_indefinite_matrix_rejected(self):
+        # two eigenvalues of -3e-9 pass the semi-definite check of
+        # CorrelationMatrix, and their product gives a positive determinant
+        rng = np.random.default_rng(107)
+        x = rng.normal(size=(40, 4))
+        x = np.column_stack([x, x[:, 0] + x[:, 1], x[:, 2] - x[:, 3]])
+        w, v = np.linalg.eigh(np.corrcoef(x, rowvar=False))
+        w[:2] = -3e-9
+        r = (v * w) @ v.T
+        d = np.sqrt(np.diag(r))
+        labels = tuple(f"v{i}" for i in range(6))
+        corr = CorrelationMatrix(labels, r / d[:, None] / d[None, :])
+        assert (corr.eigenvalues < 0).sum() == 2
+        mask = np.zeros((6, 2), dtype=bool)
+        mask[[0, 1, 4], 0] = mask[[2, 3, 5], 1] = True
+        spec = PatternSpec(labels, mask, ~np.eye(2, dtype=bool))
+        with pytest.raises(ValidationError, match="positive definite"):
+            cfa_fit(corr, 40, spec)
+
     def test_needs_more_rows_than_variables(self):
         rng = np.random.default_rng(106)
         corr, spec, *_ = exact_model(rng)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bibfactor
-from bibfactor import cli, fixture_table, indicator_table_to_csv
+from bibfactor import IndicatorTable, cli, fixture_table, indicator_table_to_csv
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
 from bibfactor.tables import VARIABLE_SETS
@@ -64,6 +64,10 @@ class TestIndicesCommand:
         code, out, _ = run_cli(capsys, "indices", "--fixture")
         assert code == 0
         assert out.splitlines()[0].split() == ["scientist"] + canonical
+        code, out, _ = run_cli(capsys, "indices", "--fixture", "--csv")
+        assert code == 0
+        assert out == indicator_table_to_csv(fixture_table().subset(canonical))
+        assert out.splitlines()[0].split(",") == ["scientist"] + canonical
         code, out, _ = run_cli(capsys, "indices", "--fixture", "--json")
         assert code == 0
         payload = json.loads(out)
@@ -206,9 +210,17 @@ class TestIndicesCommand:
         assert "error" in err
 
     def test_usage_error_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["indices", "--fixture", "--json", "--csv"])
-        assert info.value.code == 2
+        for argv in (
+            ["indices", "--fixture", "--json", "--csv"],
+            # options a command does not act on are refused before any work
+            ["describe", "--fixture", "--factors", "9"],
+            ["cfa", "--fixture", "--csv"],
+            ["bootstrap", "--fixture", "--csv"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr().out == ""
 
 
 class TestDescribeCommand:
@@ -274,6 +286,23 @@ class TestDescribeCommand:
                                  "indicators", "--transform", transform)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, message", [
+        ("describe", "sample is constant; cannot fit a scale"),
+        ("efa", "column 'A' is constant"),
+    ])
+    @pytest.mark.parametrize("transform", ["raw", "ln", "ln1p", "sqrt"])
+    def test_constant_column_exits_2(self, capsys, tmp_path, command, message, transform):
+        # ln of 26 values of 2.0 has an sd of 1e-16, not 0: still constant
+        table = fixture_table()
+        values = table.values.copy()
+        values[:, table.columns.index("A")] = 2.0
+        path = tmp_path / "indicators.csv"
+        path.write_text(indicator_table_to_csv(
+            IndicatorTable(table.labels, table.columns, values)))
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--format",
+                                 "indicators", "--transform", transform)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_one_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "indicators.csv"

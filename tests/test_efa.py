@@ -96,9 +96,11 @@ class TestCorrelationMatrix:
         assert corr.values[0, 1] == pytest.approx(-1.0)
 
     def test_constant_column_named(self):
-        x = np.column_stack([np.arange(4.0), np.ones(4)])
-        with pytest.raises(ZeroVarianceError, match="'b'"):
-            correlation_matrix(x, ["a", "b"])
+        # a column of 26 values of 0.1 has an sd of 1e-17, not 0
+        for n, value in ((4, 1.0), (26, 0.1)):
+            x = np.column_stack([np.arange(float(n)), np.full(n, value)])
+            with pytest.raises(ZeroVarianceError, match="'b'"):
+                correlation_matrix(x, ["a", "b"])
 
     def test_needs_three_rows(self):
         from bibfactor import InsufficientDataError

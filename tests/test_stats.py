@@ -139,8 +139,10 @@ class TestFitDistspec:
         assert (spec.df, spec.location, spec.scale) == oracle_student_ml(x)
 
     def test_constant_sample_errors(self):
-        with pytest.raises(ZeroVarianceError):
-            fit_distspec([2.0, 2.0, 2.0], "normal")
+        # [0.1] * 26 has an sd of 1e-17, not 0: it is constant all the same
+        for values in ([2.0, 2.0, 2.0], [0.1] * 26):
+            with pytest.raises(ZeroVarianceError):
+                fit_distspec(values, "normal")
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):

@@ -25,6 +25,16 @@ class TestVerify:
         assert payload["overall_pass"] is True
         assert len(payload["checks"]) == len(verification_report.checks)
 
+    def test_fixture_is_read_only(self):
+        with pytest.raises(ValueError):
+            fixture_table().values[0, 0] = 999
+        assert fixture_table().values[0, 0] != 999
+        assert run_verification().overall_pass
+        # a table built from a caller's array leaves that array writable
+        values = fixture_table().values.copy()
+        IndicatorTable(fixture_table().labels, fixture_table().columns, values)
+        assert values.flags.writeable
+
     def test_deterministic(self):
         a = run_verification().to_dict()
         b = run_verification().to_dict()
