@@ -8,7 +8,8 @@ loading summaries) and ``verify`` (the published-table regression harness).
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input or usage
 errors and on a confirmatory fit that does not converge. Diagnostics go to
-stderr.
+stderr: an ``error:`` line, then one ``note:`` line per distinct warning
+the command raised.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .efa import (
 from .errors import BibfactorError, ConvergenceError, ParseError
 from .fixture import fixture_table
 from .indices import GConvention
-from .stats import Transform, apply_transform, column_summaries
+from .stats import Transform, column_summaries, transform_columns
 from .tables import (
     INDICATOR_COLUMNS,
     VARIABLE_SETS,
@@ -74,7 +76,7 @@ def _add_output_options(parser, formats=("json", "csv")):
 def _add_model_options(parser, factors=True):
     parser.add_argument("--vars", default="7",
                         help="variable set: 7, 7+NS, 7+NC, 7+NSC or a "
-                             "comma-separated list (default: 7)")
+                             "comma-separated list (default: %(default)s)")
     parser.add_argument("--transform", choices=["raw", "ln", "ln1p", "sqrt"],
                         default="raw")
     if factors:
@@ -185,7 +187,7 @@ def _cmd_describe(args):
     # transformed lazily, so a column that fails to transform raises after
     # the columns before it, as in a per-column loop
     stats = dict(zip(variables, column_summaries(
-        (apply_transform(column, transform) for column in values.T), args.df)))
+        transform_columns(values, variables, transform), args.df)))
 
     def as_text():
         rows = [
@@ -455,7 +457,8 @@ def build_parser():
                    help="assign variables below the threshold to their "
                         "maximum-loading factor")
     _add_output_options(p, formats=("json",))
-    p.set_defaults(func=_cmd_cfa)
+    # the two-factor model of the paper's Table A7
+    p.set_defaults(func=_cmd_cfa, vars="7+NC")
 
     p = sub.add_parser("bootstrap", help="bootstrap the EFA loadings")
     _add_input_options(p)
@@ -479,11 +482,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BibfactorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # records without a filter of its own, so the interpreter's filters apply
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except BibfactorError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"note: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

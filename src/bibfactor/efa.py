@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .stats import Transform, apply_transform, constant_samples
+from .stats import Transform, constant_samples, transform_columns
 
 _EIGEN_SYMMETRY_TOL = 1e-10
 _RELATIVE_RANK_TOL = 1e-12
@@ -734,12 +734,6 @@ class EFAResult:
         return self.unrotated.labels
 
 
-def _transformed(x, transform):
-    return np.column_stack(
-        [apply_transform(x[:, j], transform) for j in range(x.shape[1])]
-    )
-
-
 def efa_pipeline(
     table,
     variables,
@@ -775,24 +769,17 @@ def efa_pipeline(
     if rotation not in ("none", "varimax", "promax"):
         raise ValidationError(f"unknown rotation {rotation!r}")
     x = np.asarray(table, dtype=float)
-    corr = correlation_matrix(_transformed(x, transform), variables)
+    xt = np.column_stack(list(transform_columns(x, variables, transform)))
+    corr = correlation_matrix(xt, variables)
     unrotated, communalities = uls_extract(corr, settings)
 
-    structure = None
-    phi = None
-    if rotation == "none":
-        rotated = unrotated
-        ss = rotated.ss_loadings()
-    elif rotation == "varimax":
+    rotated, structure, phi = unrotated, None, None
+    if rotation != "none":
         rotated, _ = varimax(unrotated)
-        ss = rotated.ss_loadings()
-    else:
-        rotated_varimax, _ = varimax(unrotated)
-        solution = promax(rotated_varimax, kappa=kappa)
-        rotated = solution.pattern
-        structure = solution.structure
-        phi = solution.phi
-        ss = (structure**2).sum(axis=0)
+    if rotation == "promax":
+        solution = promax(rotated, kappa=kappa)
+        rotated, structure, phi = solution.pattern, solution.structure, solution.phi
+    ss = ((rotated.values if structure is None else structure) ** 2).sum(axis=0)
 
     return EFAResult(
         correlation=corr,
@@ -993,10 +980,9 @@ def bootstrap_efa(
             )
         if ((indices < 0) | (indices >= n)).any():
             raise ValidationError(f"indices must lie in [0, {n})")
-    reference = efa_pipeline(x, variables, transform, settings, rotation, kappa)
-
-    xt = _transformed(x, transform)
     labels = tuple(variables)
+    xt = np.column_stack(list(transform_columns(x, labels, transform)))
+    reference = efa_pipeline(xt, labels, Transform.IDENTITY, settings, rotation, kappa)
     chunks = [
         _resample_loadings(
             xt[indices[start:start + _BOOTSTRAP_CHUNK]], labels, settings,

@@ -98,8 +98,27 @@ def apply_transform(values, transform):
     function, in_domain, requirement = _TRANSFORMS[transform]
     bad = np.nonzero(~in_domain(x))[0]
     if bad.size:
-        raise ValidationError(f"{requirement}; got {x[bad[0]]!r} at position {bad[0]}")
+        raise ValidationError(f"{requirement}; got {float(x[bad[0]])} at position {bad[0]}")
     return function(x)
+
+
+def transform_columns(values, labels, transform):
+    """Yield each column of the (n, p) ``values`` under ``transform``, in order.
+
+    The p ``labels`` name the columns: their count is checked before any
+    column is transformed, and a domain error names its column.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.shape[1:] != (len(labels),):
+        raise ValidationError("number of labels must match number of columns")
+    if not isinstance(transform, Transform):
+        raise ValidationError(f"unknown transform {transform!r}")
+    for label, column in zip(labels, x.T):
+        try:
+            column = apply_transform(column, transform)
+        except ValidationError as exc:
+            raise ValidationError(f"column {label!r}: {exc}") from None
+        yield column
 
 
 def _finite(values):

@@ -164,42 +164,22 @@ def _check_adequacy(report, table, scale, results):
              note="prose value for the expanded model")
 
 
-def _reference_matrix(variables, cells, rotation):
-    values = np.array([cells[v] for v in variables], dtype=float)
-    return LoadingMatrix(tuple(variables), values, rotation=rotation)
-
-
-def _check_varimax_tables(report, scale, aligned):
-    tol = fx.TOLERANCES["loading"] * scale
-    for table_id, spec in fx.VARIMAX_TABLES.items():
-        variables = spec["variables"]
-        for key, cells in spec["loadings"].items():
-            values = aligned[(table_id, key)].values
-            for i, v in enumerate(variables):
-                for j in range(2):
-                    _num(report, table_id, f"{v} F{j + 1} {key}",
-                         cells[v][j], values[i, j], tol)
-            if "ss_loadings" in spec:
-                ss = (values**2).sum(axis=0)
-                for j, expected in enumerate(spec["ss_loadings"][key]):
-                    _num(report, table_id, f"SS F{j + 1} {key}", expected,
-                         float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
-
-
-def _check_promax_tables(report, scale, results):
-    tol = fx.TOLERANCES["promax"] * scale
-    for table_id, spec in fx.PROMAX_TABLES.items():
-        variables = spec["variables"]
-        for key, cells in spec["loadings"].items():
-            # promax starts from the varimax solution of the same input
-            varimax_loadings = results[(variables, key)].rotated
-            pattern = promax(varimax_loadings, spec.get("kappa", 3)).pattern
-            reference = _reference_matrix(variables, cells, "promax")
-            aligned = align_loadings(pattern, reference)
-            for i, v in enumerate(variables):
-                for j in range(2):
-                    _num(report, table_id, f"{v} F{j + 1} {key}",
-                         cells[v][j], aligned.values[i, j], tol)
+def _check_loading_tables(report, scale, aligned):
+    for tables, tol_key in ((fx.VARIMAX_TABLES, "loading"), (fx.PROMAX_TABLES, "promax")):
+        tol = fx.TOLERANCES[tol_key] * scale
+        for table_id, spec in tables.items():
+            variables = spec["variables"]
+            for key, cells in spec["loadings"].items():
+                values = aligned[(table_id, key)].values
+                for i, v in enumerate(variables):
+                    for j in range(2):
+                        _num(report, table_id, f"{v} F{j + 1} {key}",
+                             cells[v][j], values[i, j], tol)
+                if "ss_loadings" in spec:
+                    ss = (values**2).sum(axis=0)
+                    for j, expected in enumerate(spec["ss_loadings"][key]):
+                        _num(report, table_id, f"SS F{j + 1} {key}", expected,
+                             float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
 
 
 def _check_communalities(report, scale, results):
@@ -302,21 +282,23 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
             results[(variables, key)] = efa_pipeline(
                 values, variables, Transform(key), settings, "varimax"
             )
-    # each varimax solution aligned once to its published reference
-    aligned = {
-        (table_id, key): align_loadings(
-            results[(spec["variables"], key)].rotated,
-            _reference_matrix(spec["variables"], cells, "varimax"),
-        )
-        for table_id, spec in fx.VARIMAX_TABLES.items()
-        for key, cells in spec["loadings"].items()
-    }
+    # every published loading table aligned once to its reference; a promax
+    # pattern starts from the varimax solution of the same input
+    aligned = {}
+    for tables, rotation in ((fx.VARIMAX_TABLES, "varimax"), (fx.PROMAX_TABLES, "promax")):
+        for table_id, spec in tables.items():
+            variables = spec["variables"]
+            for key, cells in spec["loadings"].items():
+                loadings = results[(variables, key)].rotated
+                if rotation == "promax":
+                    loadings = promax(loadings, spec["kappa"]).pattern
+                reference = LoadingMatrix(variables, [cells[v] for v in variables], rotation)
+                aligned[(table_id, key)] = align_loadings(loadings, reference)
 
     _check_consistency(report, table, scale)
     _check_descriptives(report, table, scale)
     _check_adequacy(report, table, scale, results)
-    _check_varimax_tables(report, scale, aligned)
-    _check_promax_tables(report, scale, results)
+    _check_loading_tables(report, scale, aligned)
     _check_communalities(report, scale, results)
     _check_variance_explained(report, scale, results, aligned)
     _check_categorization(report, aligned)

@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bibfactor
-from bibfactor import IndicatorTable, cli, fixture_table, indicator_table_to_csv
+from bibfactor import (
+    HeywoodWarning, IndicatorTable, cli, fixture_table, indicator_table_to_csv,
+)
 from bibfactor.cli import main
 from bibfactor.fixture import VARIMAX_TABLES
 from bibfactor.tables import VARIABLE_SETS
@@ -285,7 +288,9 @@ class TestDescribeCommand:
         code, out, err = run_cli(capsys, "describe", "--input", str(path), "--format",
                                  "indicators", "--transform", transform)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        # a transform error names its column, here the third, g
+        prefix = "column 'g': " if "transform" in message else ""
+        assert err.startswith(f"error: {prefix}{message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, message", [
         ("describe", "sample is constant; cannot fit a scale"),
@@ -357,7 +362,34 @@ class TestEfaCommand:
         assert "xx" in err
 
 
+@pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
+def test_transform_error_names_its_column(capsys, tmp_path, command):
+    table = fixture_table()
+    values = table.values.copy()
+    values[2, table.columns.index("h")] = 0.0
+    path = tmp_path / "indicators.csv"
+    path.write_text(indicator_table_to_csv(IndicatorTable(table.labels, table.columns, values)))
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--format",
+                             "indicators", "--transform", "ln")
+    assert (code, out) == (2, "")
+    assert err == ("error: column 'h': ln transform requires positive values; "
+                   "got 0.0 at position 2\n")
+
+
+def test_warning_filters_still_apply(capsys):
+    # main records warnings as notes but leaves the filters as they are
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HeywoodWarning)
+        with pytest.raises(HeywoodWarning):
+            main(["efa", "--fixture"])
+
+
 class TestCfaCommand:
+    def test_default_variables_are_the_paper_model(self, capsys):
+        default = run_cli(capsys, "cfa", "--fixture")
+        assert default[0] == 0
+        assert default[:2] == run_cli(capsys, "cfa", "--fixture", "--vars", "7+NC")[:2]
+
     def test_fixture_fit(self, capsys):
         code, out, _ = run_cli(
             capsys, "cfa", "--fixture", "--vars", "7+NC", "--threshold", "0.7",
@@ -392,10 +424,12 @@ class TestCfaCommand:
 
 class TestBootstrapCommand:
     def test_small_run(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "bootstrap", "--fixture", "--B", "25", "--seed", "7", "--json"
         )
         assert code == 0
+        # one note for the clamps of the full-sample fit and the resamples
+        assert err == "note: communality exceeded 1 during extraction and was clamped\n"
         payload = json.loads(out)
         assert payload["B"] == 25 and payload["seed"] == 7
         lower = np.array(payload["lower"])

@@ -30,6 +30,7 @@ from bibfactor import (
     uls_extract,
     varimax,
 )
+from bibfactor import stats
 from bibfactor.efa import _guarded, _sorted_eigh, _varimax_criterion
 from bibfactor.stats import apply_transform
 from bibfactor.tables import VARIABLE_SETS
@@ -500,6 +501,20 @@ class TestBootstrap:
         sub = fixture.subset(("h", "m", "g"))
         with pytest.raises(ValidationError, match="seed"):
             bootstrap_efa(sub.values, sub.columns, n_boot=2, seed=-1)
+
+    def test_transforms_each_column_once(self, fixture, monkeypatch):
+        calls = []
+
+        def spy(values, transform):
+            calls.append(transform)
+            return apply_transform(values, transform)
+
+        monkeypatch.setattr(stats, "apply_transform", spy)
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeywoodWarning)
+            bootstrap_efa(sub.values, sub.columns, Transform.LOG, n_boot=5, seed=1)
+        assert calls.count(Transform.LOG) == len(sub.columns)
 
     @pytest.mark.parametrize("fill, message", [
         (-1, "lie in"), (0.7, "integers"), (26, "lie in"),

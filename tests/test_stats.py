@@ -33,8 +33,16 @@ class TestApplyTransform:
         assert out == pytest.approx([0.0, 1.0])
 
     def test_log_domain_error_names_position(self):
-        with pytest.raises(ValidationError, match="position 1"):
+        with pytest.raises(ValidationError, match="; got 0.0 at position 1$"):
             apply_transform([1.0, 0.0], Transform.LOG)
+
+    def test_columns_name_their_label(self):
+        values = np.array([[1.0, 4.0], [2.0, 0.0]])
+        with pytest.raises(ValidationError, match="^column 'b': ln transform"):
+            list(stats.transform_columns(values, ("a", "b"), Transform.LOG))
+        # the count of labels is checked before any column is transformed
+        with pytest.raises(ValidationError, match="number of labels"):
+            next(stats.transform_columns(values[:, ::-1], ("b",), Transform.LOG))
 
     def test_sqrt_domain_error(self):
         with pytest.raises(ValidationError, match="sqrt"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,12 @@ class TestVerify:
         assert lines[-1].startswith("PASS:")
         verbose = verification_report.format_lines(verbose=True)
         assert len(verbose) > len(lines)
+
+    def test_check_sequence_is_pinned(self, verification_report):
+        # a change that reorders, drops or re-tolerances a check changes this
+        sequence = "\n".join(f"{c.table}\t{c.cell}\t{c.binding}\t{c.tolerance!r}"
+                             for c in verification_report.checks)
+        assert len(verification_report.checks) == 633
+        assert hashlib.sha256(sequence.encode()).hexdigest() == (
+            "846a887da2b38ba91698632135914518c782d96c220df32b8f3442c1352a7c7d"
+        )
