@@ -37,12 +37,11 @@ from .stats import Transform, column_summaries, transform_columns
 from .tables import (
     INDICATOR_COLUMNS,
     VARIABLE_SETS,
+    citation_table,
     format_number,
     indicator_table_to_csv,
-    parse_citations,
     parse_indicator_table,
     render_text_table,
-    table_from_records,
 )
 from .verify import run_verification
 
@@ -123,8 +122,7 @@ def _load_table(args):
     text = _read_text(args.input)
     if args.format == "indicators":
         return parse_indicator_table(text)
-    records = parse_citations(text, fmt=args.format)
-    return table_from_records(records, GConvention(args.g_convention))
+    return citation_table(text, args.format, GConvention(args.g_convention))
 
 
 def _model_input(args):

@@ -2,18 +2,31 @@
 
 All functions operate on a :class:`CitationRecord`, i.e. citation counts
 sorted in non-increasing order (the rank-frequency function). They are pure
-and never mutate their input.
+and never mutate their input. One engine, :func:`indicator_rows`, computes
+every index with whole-array operations over the counts of many records at
+once; the single-record functions run it on one record.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmptyCoreError, ValidationError
+
+INDICATOR_COLUMNS = ("h", "m", "g", "h2", "A", "R", "hw", "N", "S", "C")
+
+# Indices are exact up to this many citations per record: every partial
+# sum, int-to-float conversion and quotient then equals its Python-int value.
+MAX_TOTAL = 2**53
+
+# Records are taken in chunks of about this many papers.
+_CHUNK_PAPERS = 1 << 16
 
 
 class GConvention(Enum):
@@ -107,26 +120,129 @@ def normalize_record(label, raw_counts):
     return CitationRecord(label=str(label), counts=tuple(counts))
 
 
+def _too_many_citations(label):
+    return ValidationError(
+        f"record {label!r}: more than 2**53 citations in total; "
+        f"indices are exact only up to 2**53"
+    )
+
+
+def record_arrays(records):
+    """The counts of CitationRecords as one int64 array, and record bounds.
+
+    Record i is ``counts[bounds[i]:bounds[i + 1]]``. A count beyond int64
+    raises ``ValidationError`` naming its record, and a count that is not
+    an integer raises ``TypeError``.
+    """
+    bounds = np.zeros(len(records) + 1, np.int64)
+    np.cumsum([len(rec.counts) for rec in records], out=bounds[1:])
+    try:
+        counts = np.fromiter(
+            map(operator.index, chain.from_iterable(rec.counts for rec in records)),
+            np.int64, bounds[-1],
+        )
+    except OverflowError:
+        label = next(rec.label for rec in records
+                     if max(map(abs, rec.counts), default=0) > MAX_TOTAL)
+        raise _too_many_citations(label) from None
+    return counts, bounds
+
+
+def indicator_rows(labels, counts, bounds, convention=GConvention.PADDED):
+    """Indicator rows of many records, in ``INDICATOR_COLUMNS`` order.
+
+    ``counts`` holds each record's citation counts, sorted non-increasing,
+    record after record; record i, labelled ``labels[i]``, is
+    ``counts[bounds[i]:bounds[i + 1]]``. Records are taken in chunks of
+    about ``_CHUNK_PAPERS`` papers, which bounds the temporaries.
+
+    Raises ``ValidationError`` naming a record with no papers (its C = S/N
+    is undefined) or with more than ``MAX_TOTAL`` citations.
+    """
+    rows = np.empty((len(labels), len(INDICATOR_COLUMNS)))
+    first = 0
+    while first < len(labels):
+        stop = int(np.searchsorted(bounds, bounds[first] + _CHUNK_PAPERS, "right")) - 1
+        stop = max(stop, first + 1)
+        rows[first:stop] = _chunk_rows(
+            labels[first:stop],
+            counts[bounds[first]:bounds[stop]],
+            bounds[first:stop + 1] - bounds[first],
+            convention,
+        )
+        first = stop
+    return rows
+
+
+def _chunk_rows(labels, counts, bounds, convention):
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    if not sizes.all():
+        label = labels[int(np.argmin(sizes))]
+        raise ValidationError(f"record {label!r} has no papers; C = S/N is undefined")
+    rank = np.arange(1, counts.size + 1) - np.repeat(starts, sizes)
+    # running sum within each record; the int64 sums wrap silently, but the
+    # first partial sum of a record past MAX_TOTAL is exact when no count
+    # exceeds MAX_TOTAL, so the bound check below cannot be fooled
+    cumulative = np.cumsum(counts)
+    cumulative -= np.repeat(cumulative[starts] - counts[starts], sizes)
+    inexact = np.add.reduceat((counts > MAX_TOTAL) | (cumulative > MAX_TOTAL), starts)
+    if inexact.any():
+        raise _too_many_citations(labels[int(np.argmax(inexact))])
+
+    # each condition holds on a prefix of ranks, so its count is the index
+    def prefix(flags):
+        return np.add.reduceat(flags, starts)
+
+    square = rank * rank
+    h = prefix(counts >= rank)
+    h2 = prefix(counts >= square)
+    g = prefix(cumulative >= square)
+    total = cumulative[bounds[1:] - 1]
+    if convention is GConvention.PADDED:
+        # g held at every paper; zero-cited papers carry it on to isqrt(S)
+        root = np.sqrt(total).astype(np.int64)
+        root -= root * root > total
+        root += (root + 1) * (root + 1) <= total
+        g = np.where(g == sizes, root, g)
+    # h = 0 only when every count is 0, so a core of one paper then gives 0.0
+    core = np.maximum(h, 1)
+    core_sum = cumulative[starts + core - 1]
+    middle = counts[starts + (core - 1) // 2] + counts[starts + core // 2]
+    # hw: r_w(r) = S_r / h grows while the counts fall, so the first failure is final
+    weighted = prefix(cumulative / np.repeat(core, sizes) <= counts)
+    hw_sum = cumulative[starts + weighted - 1]
+    return np.column_stack([
+        h, middle / 2, g, h2, core_sum / core, np.sqrt(core_sum),
+        np.sqrt(hw_sum), sizes, total, total / sizes,
+    ])
+
+
+def indicator_set(rec, convention=GConvention.PADDED):
+    """Compute the full :class:`IndicatorSet` for one record.
+
+    Empty records and records with h = 0 yield zeros plus the
+    ``empty_core`` flag instead of an error.
+    """
+    if not rec.counts:
+        return IndicatorSet(h=0, h2=0, g=0, a=0.0, m=0.0, r=0.0, hw=0.0,
+                            n=0, s=0, c=0.0, empty_core=True)
+    h, m, g, h2, a, r, hw, n, s, c = indicator_rows(
+        [rec.label], *record_arrays([rec]), convention
+    )[0].tolist()
+    return IndicatorSet(
+        h=int(h), h2=int(h2), g=int(g), a=a, m=m, r=r, hw=hw,
+        n=int(n), s=int(s), c=c, empty_core=h == 0,
+    )
+
+
 def h_index(rec):
     """Largest h such that the h most cited papers have >= h citations each."""
-    h = 0
-    for rank, count in enumerate(rec.counts, start=1):
-        if count >= rank:
-            h = rank
-        else:
-            break
-    return h
+    return indicator_set(rec).h
 
 
 def h2_index(rec):
     """Largest k such that the k most cited papers have >= k**2 citations each."""
-    k = 0
-    for rank, count in enumerate(rec.counts, start=1):
-        if count >= rank * rank:
-            k = rank
-        else:
-            break
-    return k
+    return indicator_set(rec).h2
 
 
 def g_index(rec, convention=GConvention.PADDED):
@@ -136,67 +252,29 @@ def g_index(rec, convention=GConvention.PADDED):
     papers, so only the total citation count limits g; under ``CAPPED``
     additionally g <= N.
     """
-    total = sum(rec.counts)
-    bound = math.isqrt(total) if total else 0
-    if convention is GConvention.CAPPED:
-        bound = min(bound, rec.n_papers)
-    g = 0
-    cumulative = 0
-    for rank in range(1, bound + 1):
-        if rank <= rec.n_papers:
-            cumulative += rec.counts[rank - 1]
-        if cumulative >= rank * rank:
-            g = rank
-        else:
-            break
-    return g
+    return indicator_set(rec, convention).g
 
 
-def _h_core(rec):
-    h = h_index(rec)
-    if h == 0:
+def _with_core(rec):
+    indicators = indicator_set(rec)
+    if indicators.empty_core:
         raise EmptyCoreError(f"record {rec.label!r}: h = 0, the h-core is empty")
-    return rec.counts[:h]
-
-
-# Formulas on a known h-core: indicator_set finds h once and calls them directly.
-def _core_mean(core):
-    return sum(core) / len(core)
-
-
-def _core_median(core):
-    return float(statistics.median(core))
-
-
-def _core_root(core):
-    return math.sqrt(sum(core))
-
-
-def _hw_from(counts, h):
-    cumulative = 0
-    core_sum = 0
-    for count in counts:
-        cumulative += count
-        if cumulative / h <= count:
-            core_sum = cumulative
-        else:
-            break
-    return math.sqrt(core_sum)
+    return indicators
 
 
 def a_index(rec):
     """Mean number of citations of the papers in the h-core."""
-    return _core_mean(_h_core(rec))
+    return _with_core(rec).a
 
 
 def m_index(rec):
     """Median number of citations of the papers in the h-core."""
-    return _core_median(_h_core(rec))
+    return _with_core(rec).m
 
 
 def r_index(rec):
     """Square root of the total citations of the h-core; 0 when h = 0."""
-    return _core_root(rec.counts[:h_index(rec)])
+    return indicator_set(rec).r
 
 
 def hw_index(rec):
@@ -207,48 +285,17 @@ def hw_index(rec):
     root of the citations collected by those r0 papers. r_w is increasing
     while the counts are non-increasing, so the first failure is final.
     """
-    return _hw_from(rec.counts, len(_h_core(rec)))
+    return _with_core(rec).hw
 
 
 def totals(rec):
     """Return (N, S, C): paper count, total citations, citations per paper."""
-    n = rec.n_papers
-    s = sum(rec.counts)
-    if n == 0:
+    if not rec.counts:
         raise ValidationError(
             f"record {rec.label!r}: C = S/N is undefined for an empty record"
         )
-    return n, s, s / n
-
-
-def indicator_set(rec, convention=GConvention.PADDED):
-    """Compute the full :class:`IndicatorSet` for one record.
-
-    Empty records and records with h = 0 yield zeros plus the
-    ``empty_core`` flag instead of an error.
-    """
-    h = h_index(rec)
-    n = rec.n_papers
-    s = sum(rec.counts)
-    if h == 0:
-        return IndicatorSet(
-            h=0, h2=0, g=g_index(rec, convention), a=0.0, m=0.0, r=0.0,
-            hw=0.0, n=n, s=s, c=(s / n if n else 0.0), empty_core=True,
-        )
-    core = rec.counts[:h]
-    return IndicatorSet(
-        h=h,
-        h2=h2_index(rec),
-        g=g_index(rec, convention),
-        a=_core_mean(core),
-        m=_core_median(core),
-        r=_core_root(core),
-        hw=_hw_from(rec.counts, h),
-        n=n,
-        s=s,
-        c=s / n,
-        empty_core=False,
-    )
+    indicators = indicator_set(rec)
+    return indicators.n, indicators.s, indicators.c
 
 
 def _count_at(rec, rank):
@@ -266,19 +313,18 @@ def interpolated_set(rec):
     citation count, constant beyond rank N, against y = x**2. Each solution
     is the unique root inside [x, x + 1).
     """
-    h = h_index(rec)
+    indicators = indicator_set(rec)
+    h, k, g = indicators.h, indicators.h2, indicators.g
     if h == 0:
         raise EmptyCoreError(f"record {rec.label!r}: h = 0, nothing to interpolate")
 
     ch, ch1 = _count_at(rec, h), _count_at(rec, h + 1)
     h_interp = (ch + h * ch - h * ch1) / (1 + ch - ch1)
 
-    k = h2_index(rec)
     ck, ck1 = _count_at(rec, k), _count_at(rec, k + 1)
     slope = ck1 - ck
     h2_interp = (slope + math.sqrt(slope * slope + 4 * (ck - k * slope))) / 2
 
-    g = g_index(rec, GConvention.PADDED)
     s_g = sum(rec.counts[: min(g, rec.n_papers)])
     g_slope = _count_at(rec, g + 1)
     g_interp = (g_slope + math.sqrt(g_slope * g_slope + 4 * (s_g - g * g_slope))) / 2

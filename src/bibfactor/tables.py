@@ -16,9 +16,15 @@ from collections import defaultdict
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .indices import CitationRecord, GConvention, indicator_set, normalize_record
+from .indices import (
+    INDICATOR_COLUMNS,
+    CitationRecord,
+    GConvention,
+    indicator_rows,
+    normalize_record,
+    record_arrays,
+)
 
-INDICATOR_COLUMNS = ("h", "m", "g", "h2", "A", "R", "hw", "N", "S", "C")
 _COLUMN_ALIASES = {"h(2)": "h2", "h_w": "hw", "hW": "hw"}
 
 # variable sets accepted by the command line, in presentation order
@@ -177,7 +183,13 @@ def _long_header_ok(cells):
 
 
 def _parse_long_columns(text):
-    """Long-format records tokenised column by column, or None.
+    """Long-format records tokenised column by column, as arrays, or None.
+
+    Returns ``(labels, counts, bounds)``: the labels in first-appearance
+    order, an int64 array of every count grouped by label and sorted
+    non-increasing within each group, and the int64 group bounds, so that
+    record i is ``labels[i]`` with ``counts[bounds[i]:bounds[i + 1]]``.
+    These feed :func:`indices.indicator_rows` directly.
 
     Blank and whitespace-only lines are skipped. None means the text needs
     the csv row reader: it has a quote, a NUL, a lone carriage return, a
@@ -238,7 +250,8 @@ def _parse_long_columns(text):
     # one sort orders by label code, then by count, largest first
     key = np.concatenate(code_blocks)
     del code_blocks
-    bounds = [0] + np.cumsum(np.bincount(key)).tolist()
+    bounds = np.zeros(len(codes) + 1, np.int64)
+    np.cumsum(np.bincount(key), out=bounds[1:])
     key *= top
     key += top - 1
     key -= counts
@@ -246,10 +259,7 @@ def _parse_long_columns(text):
     key.sort()
     np.remainder(key, top, out=key)
     np.subtract(top - 1, key, out=key)
-    return [
-        CitationRecord(label, tuple(key[a:b].tolist()))
-        for label, a, b in zip(codes, bounds, bounds[1:])
-    ]
+    return list(codes), key, bounds
 
 
 def _one_comma_per_line(block):
@@ -288,11 +298,21 @@ def parse_citations(stream, fmt="long"):
         if not isinstance(stream, str):
             # the row reader below must see the lines that iterating the file gives
             stream = list(stream)
-        records = _parse_long_columns(
+        columns = _parse_long_columns(
             stream if isinstance(stream, str) else "".join(stream)
         )
-        if records is not None:
-            return records
+        if columns is not None:
+            labels, counts, bounds = columns
+            counts, bounds = counts.tolist(), bounds.tolist()
+            return [
+                CitationRecord(label, tuple(counts[a:b]))
+                for label, a, b in zip(labels, bounds, bounds[1:])
+            ]
+    return _parse_rows(stream, fmt)
+
+
+def _parse_rows(stream, fmt):
+    """Citation records through the csv row reader."""
     reader = _csv_rows(stream)
     if fmt == "long":
         try:
@@ -336,23 +356,34 @@ def parse_citations(stream, fmt="long"):
     raise ValidationError(f"unknown citation format {fmt!r}")
 
 
+def citation_table(text, fmt="long", convention=GConvention.PADDED):
+    """Parse citation CSV text straight into its indicator table.
+
+    Long-format text that the columnar path tokenises goes to the index
+    engine as arrays, without building records; other input takes the csv
+    row reader and :func:`table_from_records`. Errors are those of
+    :func:`parse_citations` and :func:`table_from_records`.
+    """
+    columns = _parse_long_columns(text) if fmt == "long" else None
+    if columns is None:
+        return table_from_records(_parse_rows(text, fmt), convention)
+    return IndicatorTable(
+        columns[0], INDICATOR_COLUMNS, indicator_rows(*columns, convention)
+    )
+
+
 def table_from_records(records, convention=GConvention.PADDED):
     """Compute the full indicator table for a list of citation records.
 
-    A record with no papers raises ``ValidationError``: its C = S/N is
-    undefined.
+    The records' counts are flattened into one int64 array for the index
+    engine, :func:`indices.indicator_rows`. A record with no papers raises
+    ``ValidationError``: its C = S/N is undefined. So does a record with
+    more than 2**53 citations, the bound below which every index is exact.
     """
     labels = [rec.label for rec in records]
-    rows = []
-    for rec in records:
-        if rec.n_papers == 0:
-            raise ValidationError(
-                f"record {rec.label!r} has no papers; C = S/N is undefined"
-            )
-        indicators = indicator_set(rec, convention)
-        mapping = indicators.as_dict()
-        rows.append([mapping[c] for c in INDICATOR_COLUMNS])
-    return IndicatorTable(labels, INDICATOR_COLUMNS, np.array(rows, dtype=float))
+    return IndicatorTable(labels, INDICATOR_COLUMNS, indicator_rows(
+        labels, *record_arrays(records), convention
+    ))
 
 
 def render_text_table(headers, rows, min_width=6):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -143,7 +144,23 @@ class TestIndicesCommand:
         )
         assert code == 2
         assert out == ""
-        assert "'x'" in err
+        assert err == "error: record 'x' has no papers; C = S/N is undefined\n"
+
+    @pytest.mark.parametrize("argv, content", [
+        ((), "scientist,citations\na,9000000000000000000\n"),
+        (("--format", "wide"), "b,3\na," + "1" * 33 + "\n"),
+        (("--format", "wide", "--g-convention", "capped"), "a,1" + "0" * 400 + "\n"),
+    ], ids=["long 9e18", "wide 33 digits", "wide 400 digits capped"])
+    def test_count_beyond_exactness_bound_exits_2(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "big.csv"
+        path.write_text(content)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "indices", "--input", str(path), *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == ("error: record 'a': more than 2**53 citations in total; "
+                       "indices are exact only up to 2**53\n")
 
     @pytest.mark.parametrize("command", ["efa", "cfa", "describe"])
     def test_non_finite_indicator_exits_2(self, capsys, tmp_path, command):

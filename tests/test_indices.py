@@ -18,8 +18,10 @@ from bibfactor import (
     m_index,
     normalize_record,
     r_index,
+    table_from_records,
     totals,
 )
+from bibfactor import indices
 from oracles import (
     oracle_a,
     oracle_g_capped,
@@ -97,6 +99,12 @@ class TestGIndex:
     def test_empty(self):
         assert g_index(normalize_record("x", [])) == 0
 
+    def test_padded_tail_in_closed_form(self):
+        # one paper with 10**14 citations pads up to isqrt(S) = 10**7 ranks
+        rec = normalize_record("x", [10**14])
+        assert g_index(rec) == 10**7
+        assert g_index(rec, GConvention.CAPPED) == 1
+
 
 class TestCoreIndices:
     def test_a_example(self, five_paper_record):
@@ -107,8 +115,9 @@ class TestCoreIndices:
         assert a_index(normalize_record("x", [7])) == pytest.approx(7.0)
 
     def test_a_empty_core(self):
-        with pytest.raises(EmptyCoreError):
-            a_index(normalize_record("x", [0]))
+        for counts in ([0], [0, 0, 0], []):
+            with pytest.raises(EmptyCoreError, match="'x': h = 0, the h-core is empty"):
+                a_index(normalize_record("x", counts))
 
     def test_m_example(self, five_paper_record):
         assert oracle_m(five_paper_record.counts, 4) == pytest.approx(6.5)
@@ -118,8 +127,9 @@ class TestCoreIndices:
         assert m_index(normalize_record("x", [9, 9, 9])) == pytest.approx(9.0)
 
     def test_m_empty_core(self):
-        with pytest.raises(EmptyCoreError):
-            m_index(normalize_record("x", []))
+        for counts in ([], [0], [0, 0]):
+            with pytest.raises(EmptyCoreError, match="'x': h = 0, the h-core is empty"):
+                m_index(normalize_record("x", counts))
 
     def test_r_example(self, five_paper_record):
         assert oracle_r(five_paper_record.counts, 4) == pytest.approx(math.sqrt(27))
@@ -146,8 +156,9 @@ class TestCoreIndices:
         assert hw_index(normalize_record("x", [7])) == pytest.approx(math.sqrt(7))
 
     def test_hw_empty_core(self):
-        with pytest.raises(EmptyCoreError):
-            hw_index(normalize_record("x", [0, 0]))
+        for counts in ([0, 0], [0], []):
+            with pytest.raises(EmptyCoreError, match="'x': h = 0, the h-core is empty"):
+                hw_index(normalize_record("x", counts))
 
 
 class TestTotals:
@@ -192,6 +203,84 @@ class TestIndicatorSet:
             s = indicator_set(normalize_record("x", counts))
             if s.h:
                 assert s.r**2 == pytest.approx(s.a * s.h, rel=1e-12)
+
+
+def _oracle_row(counts, convention):
+    """One table row in INDICATOR_COLUMNS order, from the brute-force oracles.
+
+    The padded g oracle walks every rank up to isqrt(S), so above S = 10**8
+    the closed form it reduces to stands in: g = isqrt(S) once the g
+    condition holds at every paper.
+    """
+    h, n, s = oracle_h(counts), len(counts), sum(counts)
+    g = oracle_g_capped(counts)
+    if convention is GConvention.PADDED:
+        g = oracle_g_padded(counts) if s <= 10**8 else (math.isqrt(s) if g == n else g)
+    a, m, r, hw = (oracle_a(counts, h), oracle_m(counts, h), oracle_r(counts, h),
+                   oracle_hw(counts, h)) if h else (0.0,) * 4
+    return [h, m, g, oracle_h2(counts), a, r, hw, n, s, s / n]
+
+
+EDGE_CASES = {
+    "all zero": [0, 0, 0],
+    "h = 0": [0],
+    "N = 1": [7],
+    "N = 1, one citation": [1],
+    "g > N": [25, 3],
+    "S a perfect square": [40, 9],
+    "S one below a square": [40, 8],
+    "S one above a square": [40, 10],
+    "S = 2**53": [2**53],
+    "S = 2**53, spread": [2**52, 2**51, 2**51],
+    "S = 2**53 - 1": [2**52, 2**52 - 1],
+    "largest square below 2**53": [94906265**2],
+    "one below it": [94906265**2 - 1],
+    "ties at the h boundary": [5, 5, 5, 5, 5],
+    "h-core of even size": [9, 7, 4, 4, 1],
+}
+
+
+class TestEngineEquivalence:
+    """Engine rows against the brute-force oracles, compared with ==."""
+
+    @pytest.mark.parametrize("convention", list(GConvention))
+    def test_seeded_records_and_edge_cases(self, convention):
+        rng = np.random.default_rng(2024)
+        records = [
+            normalize_record(f"r{i}", counts)
+            for i, counts in enumerate(
+                random_record_counts(rng, max_papers=50, max_citations=200)
+                for _ in range(1000)
+            )
+            if counts
+        ]
+        records += [normalize_record(name, counts) for name, counts in EDGE_CASES.items()]
+        table = table_from_records(records, convention)
+        for rec, row in zip(records, table.values.tolist()):
+            assert row == _oracle_row(rec.counts, convention), rec.label
+            expected = indicator_set(rec, convention).as_dict()
+            assert row == [expected[c] for c in table.columns], rec.label
+
+    def test_chunks_do_not_change_rows(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        records = [normalize_record(f"r{i}", random_record_counts(rng) or [0])
+                   for i in range(300)]
+        whole = table_from_records(records)
+        monkeypatch.setattr(indices, "_CHUNK_PAPERS", 7)
+        assert table_from_records(records) == whole
+
+    def test_exactness_bound(self):
+        ok = table_from_records([normalize_record("a", [2**53])])
+        assert ok.column("S")[0] == 2**53
+        assert ok.column("g")[0] == math.isqrt(2**53)
+        # int64 sums past 2**63 wrap; counts past int64 cannot be converted
+        for counts in ([2**53 + 1], [2**53, 1], [2**52, 2**52, 1], [2**62] * 3,
+                       [2**63 - 1, 2**53], [10**400]):
+            rec = normalize_record("b", counts)
+            with pytest.raises(ValidationError, match="'b': more than 2[*][*]53"):
+                table_from_records([normalize_record("a", [3]), rec])
+            with pytest.raises(ValidationError, match="'b': more than 2[*][*]53"):
+                indicator_set(rec)
 
 
 class TestInterpolated:
@@ -290,3 +379,5 @@ class TestProperties:
     def test_direct_construction_matches_normalized(self):
         rec = CitationRecord("y", (9, 4, 4, 1))
         assert indicator_set(rec) == indicator_set(normalize_record("y", [4, 1, 9, 4]))
+        with pytest.raises(TypeError):
+            indicator_set(CitationRecord("y", (9.5, 4)))

@@ -105,6 +105,16 @@ def _outcome(parse, text):
         return ("ParseError", str(exc), exc.line)
     except csv.Error as exc:
         return ("csv.Error", str(exc))
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+def _same_table_both_ways(text):
+    """citation_table, which skips the records, against parse_citations
+    followed by table_from_records."""
+    def via_records(text):
+        return table_from_records(parse_citations(text, fmt="long"))
+    return _outcome(tables.citation_table, text) == _outcome(via_records, text)
 
 
 def _parsed(text):
@@ -155,12 +165,14 @@ class TestParseCitationsLongEquivalence:
         text = COLUMNAR_CASES[name]
         assert tables._parse_long_columns(text) is not None
         assert _parsed(text) == oracle_parse_citations_long(text)
+        assert _same_table_both_ways(text)
 
     @pytest.mark.parametrize("name", sorted(ROW_READER_CASES))
     def test_row_reader_cases(self, name):
         text = ROW_READER_CASES[name]
         assert tables._parse_long_columns(text) is None
         assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
+        assert _same_table_both_ways(text)
 
     @pytest.mark.parametrize("block_chars", [1 << 16, 8])
     def test_seeded_random_inputs(self, monkeypatch, block_chars):
@@ -169,6 +181,7 @@ class TestParseCitationsLongEquivalence:
         for _ in range(400):
             text = _random_long_text(rng)
             assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
+            assert _same_table_both_ways(text)
 
     def test_many_blocks_keep_first_appearance_order(self):
         rng = np.random.default_rng(3)
@@ -291,9 +304,11 @@ class TestTableFromRecords:
 
     def test_record_without_papers_rejected(self, five_paper_record):
         # C = S/N is undefined, so no row of zeros may stand in for it
-        records = [five_paper_record, normalize_record("empty", [])]
-        with pytest.raises(ValidationError, match="'empty'"):
-            table_from_records(records)
+        message = "^record 'empty' has no papers; C = S/N is undefined$"
+        with pytest.raises(ValidationError, match=message):
+            table_from_records([five_paper_record, normalize_record("empty", [])])
+        with pytest.raises(ValidationError, match=message):
+            tables.citation_table("a,3,10,5\nempty,\n", "wide")
 
 
 class TestRendering:
