@@ -145,6 +145,25 @@ class CFAFit:
         row = self.p_values[i]
         return float(np.nanmin(row))
 
+    def to_dict(self):
+        """Plain data; the masked cells of ``se``, ``z`` and ``p_values`` are None."""
+        def cells(matrix):
+            return [[v if math.isfinite(v) else None for v in row]
+                    for row in matrix.tolist()]
+
+        return {
+            "loadings": self.loadings.tolist(),
+            "se": cells(self.se),
+            "z": cells(self.z),
+            "p_values": cells(self.p_values),
+            "phi": self.phi.tolist(),
+            "uniquenesses": self.uniquenesses.tolist(),
+            "r_squared": self.r_squared.tolist(),
+            "discrepancy": self.discrepancy,
+            "converged": self.converged,
+            "iterations": self.iterations,
+        }
+
 
 def _unpack(theta, spec, pairs, n_load):
     loadings = np.zeros((spec.p, spec.m))

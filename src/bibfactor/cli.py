@@ -6,6 +6,11 @@ Subcommands: ``indices`` (citation records to an indicator table),
 (confirmatory follow-up of an EFA pattern), ``bootstrap`` (resampled
 loading summaries) and ``verify`` (the published-table regression harness).
 
+This module parses arguments and lays out text. Each result serialises
+itself (``to_dict()``); a command's ``--json`` payload is that dict plus the
+keys the command computes itself. Text tables of numbers go through
+``_table``; cfa's, whose factor column is text, builds its own rows.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on input or usage
 errors and on a confirmatory fit that does not converge. Diagnostics go to
 stderr: an ``error:`` line, then one ``note:`` line per distinct warning
@@ -150,34 +155,41 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _table(headers, labels, values, decimals=3):
+    """A text table: one label cell per row, then ``values`` at ``decimals``,
+    which broadcasts: one number, one per column, or per row as ``[[d], ...]``."""
+    values = np.asarray(values, dtype=float)
+    places = np.broadcast_to(decimals, values.shape).tolist()
+    return render_text_table(headers, [
+        [label, *map(format_number, row, nd)]
+        for label, row, nd in zip(labels, values.tolist(), places)
+    ])
+
+
 def _cmd_indices(args):
     columns = list(INDICATOR_COLUMNS)
     table = _load_table(args).subset(columns)
 
-    def rows():
-        return zip(table.labels, table.values.tolist())
-
     def as_text():
         decimals = [0 if c in _INT_COLUMNS else 1 for c in columns]
-        return render_text_table(["scientist"] + columns, [
-            [label] + [format_number(v, nd) for v, nd in zip(values, decimals)]
-            for label, values in rows()
-        ])
+        return _table(["scientist", *columns], table.labels, table.values, decimals)
 
     def as_payload():
         return {
             "columns": columns,
-            "rows": {label: dict(zip(columns, values)) for label, values in rows()},
+            "rows": {label: dict(zip(columns, values))
+                     for label, values in zip(table.labels, table.values.tolist())},
         }
 
     _emit(args, as_text, as_payload, lambda: indicator_table_to_csv(table))
     return 0
 
 
-_DESCRIBE_ROWS = (
-    ("mean", 2), ("median", 2), ("sd", 2),
-    ("D_normal", 3), ("p_normal", 3), ("D_student", 3), ("p_student", 3),
-)
+# describe's rows and the decimals each is printed with
+_DESCRIBE_ROWS = {
+    "mean": 2, "median": 2, "sd": 2,
+    "D_normal": 3, "p_normal": 3, "D_student": 3, "p_student": 3,
+}
 
 
 def _cmd_describe(args):
@@ -186,27 +198,14 @@ def _cmd_describe(args):
     # the columns before it, as in a per-column loop
     stats = dict(zip(variables, column_summaries(
         transform_columns(values, variables, transform), args.df)))
-
-    def as_text():
-        rows = [
-            [name] + [format_number(stats[v][name], nd) for v in variables]
-            for name, nd in _DESCRIBE_ROWS
-        ]
-        return render_text_table(["statistic"] + list(variables), rows)
-
-    def as_csv():
-        return _csv(["statistic", *variables], (
-            (name, [stats[v][name] for v in variables]) for name, _ in _DESCRIBE_ROWS))
-
-    _emit(args, as_text, lambda: stats, as_csv)
+    matrix = [[stats[v][name] for v in variables] for name in _DESCRIBE_ROWS]
+    header = ["statistic", *variables]
+    _emit(args,
+          lambda: _table(header, _DESCRIBE_ROWS, matrix,
+                         [[nd] for nd in _DESCRIBE_ROWS.values()]),
+          lambda: stats,
+          lambda: _csv(header, zip(_DESCRIBE_ROWS, matrix)))
     return 0
-
-
-def _loading_rows(labels, values, decimals=3):
-    return [
-        [label] + [format_number(v, decimals) for v in row]
-        for label, row in zip(labels, values)
-    ]
 
 
 def _cmd_efa(args):
@@ -218,6 +217,7 @@ def _cmd_efa(args):
     cat = categorize(result.rotated, threshold=args.threshold)
     m = result.rotated.m
     factor_names = [f"F{j + 1}" for j in range(m)]
+    header = ["variable", *factor_names]
 
     def as_text():
         parts = [
@@ -227,28 +227,19 @@ def _cmd_efa(args):
             "",
             f"{args.rotation} loadings"
             + (" (pattern)" if args.rotation == "promax" else ""),
-            render_text_table(
-                ["variable"] + factor_names,
-                _loading_rows(variables, result.rotated.values)
-                + [["SS"] + [format_number(v, 3) for v in result.ss_loadings]],
-            ),
+            _table(header, [*variables, "SS"],
+                   np.vstack([result.rotated.values, result.ss_loadings])),
         ]
         if result.structure is not None:
             parts += [
-                "", "structure",
-                render_text_table(["variable"] + factor_names,
-                                  _loading_rows(variables, result.structure)),
+                "", "structure", _table(header, variables, result.structure),
                 "", "factor correlations",
-                render_text_table(["factor"] + factor_names,
-                                  _loading_rows(factor_names, result.phi)),
+                _table(["factor", *factor_names], factor_names, result.phi),
             ]
         parts += [
             "", "communalities",
-            render_text_table(
-                ["variable", "communality"],
-                [[v, format_number(c, 3)]
-                 for v, c in zip(variables, result.communalities)],
-            ),
+            _table(["variable", "communality"], variables,
+                   result.communalities[:, None]),
             "",
             "variance explained (%): "
             + " + ".join(format_number(100 * v, 2)
@@ -264,32 +255,17 @@ def _cmd_efa(args):
         return "\n".join(parts)
 
     def as_payload():
-        payload = {
-            "kmo": quality.kmo,
-            "bartlett": {
-                "chi2": quality.bartlett_chi2,
-                "df": quality.bartlett_df,
-                "p": quality.bartlett_p,
-            },
-            "rotation": args.rotation,
-            "variables": list(variables),
-            "loadings": result.rotated.values.tolist(),
-            "unrotated": result.unrotated.values.tolist(),
-            "communalities": result.communalities.tolist(),
-            "ss_loadings": result.ss_loadings.tolist(),
-            "variance_explained": result.variance_explained.tolist(),
+        return {
+            **quality.to_dict(),
+            **result.to_dict(),
             "memberships": {
                 v: sorted(members)
                 for v, members in zip(cat.labels, cat.memberships)
             },
         }
-        if result.structure is not None:
-            payload["structure"] = result.structure.tolist()
-            payload["phi"] = result.phi.tolist()
-        return payload
 
     _emit(args, as_text, as_payload, lambda: _csv(
-        ["variable", *factor_names], zip(variables, result.rotated.values)))
+        header, zip(variables, result.rotated.values)))
     return 0
 
 
@@ -307,6 +283,7 @@ def _cmd_cfa(args):
         )
 
     def as_text():
+        # the factor column is text, so the rows are built here
         rows = []
         for i, v in enumerate(variables):
             j = int(np.argmax(spec.loadings_free[i]))
@@ -335,27 +312,11 @@ def _cmd_cfa(args):
         return {
             "variables": list(variables),
             "pattern": spec.loadings_free.tolist(),
-            "loadings": fit.loadings.tolist(),
-            "se": _nan_to_none(fit.se),
-            "z": _nan_to_none(fit.z),
-            "p_values": _nan_to_none(fit.p_values),
-            "phi": fit.phi.tolist(),
-            "uniquenesses": fit.uniquenesses.tolist(),
-            "r_squared": fit.r_squared.tolist(),
-            "discrepancy": fit.discrepancy,
-            "converged": fit.converged,
-            "iterations": fit.iterations,
+            **fit.to_dict(),
         }
 
     _emit(args, as_text, as_payload)
     return 0
-
-
-def _nan_to_none(matrix):
-    return [
-        [None if not np.isfinite(v) else float(v) for v in row]
-        for row in matrix
-    ]
 
 
 def _cmd_bootstrap(args):
@@ -366,52 +327,31 @@ def _cmd_bootstrap(args):
     )
 
     def as_text():
-        rows = []
-        for i, v in enumerate(variables):
-            for j in range(result.mean.shape[1]):
-                rows.append([
-                    f"{v}/F{j + 1}",
-                    format_number(result.reference.values[i, j], 3),
-                    format_number(result.mean[i, j], 3),
-                    format_number(result.sd[i, j], 3),
-                    format_number(result.lower[i, j], 3),
-                    format_number(result.upper[i, j], 3),
-                ])
-        header = ["loading", "full", "mean", "sd", "p2.5", "p97.5"]
+        # one row per loading, variable by variable
+        labels = [f"{v}/F{j + 1}" for v in variables
+                  for j in range(result.mean.shape[1])]
+        summaries = np.column_stack([
+            a.ravel() for a in (result.reference.values, result.mean,
+                                result.sd, result.lower, result.upper)
+        ])
         causes = ", ".join(f"{k} {v}" for k, v in result.failures.items())
         return "\n".join([
             f"B = {result.n_boot}  seed = {result.seed}  "
             f"failed resamples = {result.n_failed}"
             + (f" ({causes})" if causes else "")
             + f"  clamped resamples = {result.n_clamped}",
-            render_text_table(header, rows),
+            _table(["loading", "full", "mean", "sd", "p2.5", "p97.5"],
+                   labels, summaries),
         ])
 
-    def as_payload():
-        return {
-            "B": result.n_boot,
-            "seed": result.seed,
-            "n_failed": result.n_failed,
-            "failures": result.failures,
-            "n_clamped": result.n_clamped,
-            "variables": list(variables),
-            "reference": result.reference.values.tolist(),
-            "mean": result.mean.tolist(),
-            "sd": result.sd.tolist(),
-            "lower": result.lower.tolist(),
-            "upper": result.upper.tolist(),
-        }
-
-    _emit(args, as_text, as_payload)
+    _emit(args, as_text, result.to_dict)
     return 0
 
 
 def _cmd_verify(args):
     report = run_verification(tolerance_scale=args.tolerance_scale)
-    if args.json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.format_lines(verbose=args.verbose)))
+    _emit(args, lambda: "\n".join(report.format_lines(verbose=args.verbose)),
+          report.to_dict)
     return 0 if report.overall_pass else 1
 
 

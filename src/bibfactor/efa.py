@@ -658,6 +658,16 @@ class AdequacyResult:
     bartlett_df: int
     bartlett_p: float
 
+    def to_dict(self):
+        return {
+            "kmo": self.kmo,
+            "bartlett": {
+                "chi2": self.bartlett_chi2,
+                "df": self.bartlett_df,
+                "p": self.bartlett_p,
+            },
+        }
+
 
 def kmo(corr):
     """Kaiser-Meyer-Olkin measure of sampling adequacy.
@@ -732,6 +742,21 @@ class EFAResult:
     @property
     def labels(self):
         return self.unrotated.labels
+
+    def to_dict(self):
+        payload = {
+            "rotation": self.rotated.rotation,
+            "variables": list(self.labels),
+            "loadings": self.rotated.values.tolist(),
+            "unrotated": self.unrotated.values.tolist(),
+            "communalities": self.communalities.tolist(),
+            "ss_loadings": self.ss_loadings.tolist(),
+            "variance_explained": self.variance_explained.tolist(),
+        }
+        if self.structure is not None:
+            payload["structure"] = self.structure.tolist()
+            payload["phi"] = self.phi.tolist()
+        return payload
 
 
 def efa_pipeline(
@@ -888,6 +913,21 @@ class BootstrapResult:
     n_failed: int
     failures: dict[str, int]
     n_clamped: int
+
+    def to_dict(self):
+        return {
+            "B": self.n_boot,
+            "seed": self.seed,
+            "n_failed": self.n_failed,
+            "failures": dict(self.failures),
+            "n_clamped": self.n_clamped,
+            "variables": list(self.labels),
+            "reference": self.reference.values.tolist(),
+            "mean": self.mean.tolist(),
+            "sd": self.sd.tolist(),
+            "lower": self.lower.tolist(),
+            "upper": self.upper.tolist(),
+        }
 
 
 def _resample_loadings(x, labels, settings, rotation, kappa, reference):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -139,25 +140,19 @@ def parse_indicator_table(stream):
     return IndicatorTable(labels, columns, np.array(rows))
 
 
-def indicator_table_to_csv(table, precision=None):
+def indicator_table_to_csv(table):
     """Serialize an indicator table to canonical CSV.
 
-    With ``precision=None`` values are written with ``repr`` fidelity, so
-    parse/render round-trips exactly.
+    Values are written with ``repr`` fidelity (integers without a decimal
+    point), so parse/render round-trips exactly.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("scientist",) + table.columns)
-    for i, label in enumerate(table.labels):
-        cells = []
-        for v in table.values[i]:
-            if precision is not None:
-                cells.append(format(round(v, precision), f".{precision}f"))
-            elif float(v).is_integer():
-                cells.append(str(int(v)))
-            else:
-                cells.append(repr(float(v)))
-        writer.writerow([label] + cells)
+    for label, row in zip(table.labels, table.values.tolist()):
+        writer.writerow([label] + [
+            str(int(v)) if v.is_integer() else repr(v) for v in row
+        ])
     return out.getvalue()
 
 
@@ -386,11 +381,11 @@ def table_from_records(records, convention=GConvention.PADDED):
     ))
 
 
-def render_text_table(headers, rows, min_width=6):
+def render_text_table(headers, rows):
     """Monospace table: headers plus pre-formatted cell strings."""
     columns = [headers] + [[str(c) for c in row] for row in rows]
     widths = [
-        max(min_width, *(len(row[j]) for row in columns))
+        max(6, *(len(row[j]) for row in columns))
         for j in range(len(headers))
     ]
     lines = []
@@ -406,7 +401,7 @@ def render_text_table(headers, rows, min_width=6):
 
 
 def format_number(value, decimals):
-    """Half-even rounding at a fixed number of decimals, as text."""
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+    """The value correctly rounded (ties to even) at ``decimals``, as text."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "nan"
-    return format(round(float(value), decimals), f".{decimals}f")
+    return f"{value:.{decimals}f}"

@@ -9,7 +9,6 @@ purely diagnostic targets are reported without affecting it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -27,6 +26,7 @@ from .efa import (
     kmo,
     promax,
 )
+from .errors import ValidationError
 from .stats import Transform, apply_transform, column_summaries
 from .tables import VARIABLE_SETS
 
@@ -95,9 +95,6 @@ class VerifyReport:
             "n_reported": self.n_reported,
             "checks": [asdict(c) for c in self.checks],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _num(report, table, cell, expected, computed, tol, binding=True, note=""):
@@ -258,7 +255,8 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
     Parameters
     ----------
     tolerance_scale : float
-        Multiplies every tolerance band; 0 demands exact agreement.
+        Multiplies every tolerance band; 0 demands exact agreement. A
+        negative or non-finite scale raises ``ValidationError``.
     fixture_table : IndicatorTable, optional
         Replacement dataset, used by sensitivity tests. Defaults to the
         embedded fixture.
@@ -267,9 +265,13 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
     -------
     VerifyReport
     """
+    scale = float(tolerance_scale)
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValidationError(
+            f"tolerance scale must be finite and non-negative, got {tolerance_scale!r}"
+        )
     table = fixture_table if fixture_table is not None else fx.fixture_table()
     report = VerifyReport()
-    scale = float(tolerance_scale)
 
     # one varimax pipeline per (variable set, transform) of the published
     # tables; every other check reads its correlation or loadings

@@ -15,15 +15,41 @@ import bibfactor
 from bibfactor import (
     HeywoodWarning, IndicatorTable, cli, fixture_table, indicator_table_to_csv,
 )
+from bibfactor.cfa import cfa_fit, pattern_from_efa
 from bibfactor.cli import main
+from bibfactor.efa import ExtractionSettings, adequacy, bootstrap_efa, efa_pipeline
 from bibfactor.fixture import VARIMAX_TABLES
-from bibfactor.tables import VARIABLE_SETS
+from bibfactor.stats import Transform
+from bibfactor.tables import INDICATOR_COLUMNS, VARIABLE_SETS
+from bibfactor.verify import run_verification
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_payload(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+def strict_json(result):
+    """A result's ``to_dict()`` as the CLI would print it; NaN is refused."""
+    return json.loads(json.dumps(result.to_dict(), allow_nan=False))
+
+
+def fixture_columns(variables):
+    return np.column_stack([fixture_table().column(v) for v in variables])
+
+
+# every --json payload's top-level keys, in order; later fields may only append
+EFA_KEYS = ["kmo", "bartlett", "rotation", "variables", "loadings", "unrotated",
+            "communalities", "ss_loadings", "variance_explained"]
+DESCRIBE_STATS = ["mean", "median", "sd", "D_normal", "p_normal", "D_student",
+                  "p_student"]
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -61,6 +87,13 @@ class TestIndicesCommand:
             "y               1     2.0       1       1     2.0     1.4     1.4"
             "       2       2     1.0",
         ]
+
+    def test_json_keys(self, capsys):
+        payload = json_payload(capsys, "indices", "--fixture")
+        assert list(payload) == ["columns", "rows"]
+        assert payload["columns"] == list(INDICATOR_COLUMNS)
+        assert list(payload["rows"]) == list(fixture_table().labels)
+        assert {tuple(row) for row in payload["rows"].values()} == {INDICATOR_COLUMNS}
 
     def test_fixture_columns_in_canonical_order(self, capsys):
         # the fixture table stores its columns in the appendix order g, h2, h, ...
@@ -266,6 +299,11 @@ class TestDescribeCommand:
                 round(payload[variable]["mean"], 2), abs=1e-9
             )
 
+    def test_json_keys(self, capsys):
+        payload = json_payload(capsys, "describe", "--fixture")
+        assert list(payload) == list(VARIABLE_SETS["7"])
+        assert all(list(stats) == DESCRIBE_STATS for stats in payload.values())
+
     def test_fixed_df_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "describe", "--fixture", "--df", "25", "--json"
@@ -359,6 +397,22 @@ class TestEfaCommand:
         phi = np.array(payload["phi"])
         assert phi[0, 1] == pytest.approx(phi[1, 0])
 
+    @pytest.mark.parametrize("rotation, extra", [
+        ("none", []),
+        ("varimax", []),
+        # an oblique solution appends its structure and factor correlations
+        ("promax", ["structure", "phi"]),
+    ])
+    def test_json_is_the_results_dicts(self, capsys, rotation, extra):
+        payload = json_payload(capsys, "efa", "--fixture", "--rotation", rotation)
+        assert list(payload) == EFA_KEYS + extra + ["memberships"]
+        variables = VARIABLE_SETS["7"]
+        result = efa_pipeline(fixture_columns(variables), variables,
+                              Transform.IDENTITY, ExtractionSettings(), rotation)
+        for part in (adequacy(result.correlation, fixture_table().n_rows), result):
+            expected = strict_json(part)
+            assert {k: payload[k] for k in expected} == expected
+
     def test_text_output_sections(self, capsys):
         code, out, _ = run_cli(capsys, "efa", "--fixture")
         assert "KMO" in out
@@ -419,6 +473,25 @@ class TestCfaCommand:
         r2 = dict(zip(variables, payload["r_squared"]))
         assert r2["h"] == pytest.approx(0.94, abs=0.1)
 
+    def test_json_is_the_fits_dict(self, capsys):
+        payload = json_payload(capsys, "cfa", "--fixture")
+        variables = VARIABLE_SETS["7+NC"]
+        efa = efa_pipeline(fixture_columns(variables), variables)
+        fit = cfa_fit(efa.correlation, fixture_table().n_rows, pattern_from_efa(efa.rotated, 0.7))
+        expected = strict_json(fit)
+        assert list(payload) == ["variables", "pattern", *expected]
+        assert list(expected) == ["loadings", "se", "z", "p_values", "phi",
+                                  "uniquenesses", "r_squared", "discrepancy",
+                                  "converged", "iterations"]
+        assert {k: payload[k] for k in expected} == expected
+        # the masked loadings have no standard error: NaN on the fit, null here
+        masked = np.array(payload["pattern"]) == 0
+        assert masked.any() and np.isnan(fit.se[masked]).all()
+        for key in ("se", "z", "p_values"):
+            cells = np.array(payload[key], dtype=object)
+            assert all(c is None for c in cells[masked])
+            assert all(isinstance(c, float) for c in cells[~masked])
+
     def test_non_converged_fit_exits_2(self, capsys, monkeypatch):
         real = cli.cfa_fit
         monkeypatch.setattr(
@@ -455,6 +528,18 @@ class TestBootstrapCommand:
         assert payload["failures"] == {} and payload["n_failed"] == 0
         assert 0 <= payload["n_clamped"] <= 25
 
+    def test_json_is_the_results_dict(self, capsys):
+        payload = json_payload(capsys, "bootstrap", "--fixture", "--B", "20",
+                               "--seed", "3")
+        variables = VARIABLE_SETS["7"]
+        expected = strict_json(bootstrap_efa(
+            fixture_columns(variables), variables, Transform.IDENTITY,
+            ExtractionSettings(), n_boot=20, seed=3))
+        assert list(payload) == ["B", "seed", "n_failed", "failures", "n_clamped",
+                                 "variables", "reference", "mean", "sd", "lower",
+                                 "upper"]
+        assert payload == expected
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "bootstrap", "--fixture", "--B", "5", "--seed", "-1"
@@ -473,9 +558,19 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--tolerance-scale", "0")
         assert code == 1
         assert "FAIL" in out
+        # a scale that is no tolerance at all is a usage error, not a failure
+        for scale, shown in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")):
+            assert run_cli(capsys, "verify", "--tolerance-scale", scale) == (
+                2, "", "error: tolerance scale must be finite and non-negative, "
+                       f"got {shown}\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--json")
         payload = json.loads(out)
         assert payload["overall_pass"] is True
         assert payload["n_binding"] > 500
+        assert list(payload) == ["overall_pass", "n_binding", "n_binding_failed",
+                                 "n_reported", "checks"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert payload == strict_json(run_verification())

@@ -320,8 +320,20 @@ class TestRendering:
         assert format_number(0.125, 2) == "0.12"
         assert format_number(0.375, 2) == "0.38"
 
+    def test_format_number_matches_round_then_format(self):
+        # formatting alone rounds the exact binary value, as round() does
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        ties = (np.arange(-1000, 1000) + 0.5) / 2.0 ** rng.integers(0, 12, size=2000)
+        values = [*bits[np.isfinite(bits)].tolist(), *ties.tolist(),
+                  -0.0, 0.0, -0.004, 2.675, 1e300, 5e-324]
+        for decimals in (0, 1, 2, 3, 4):
+            for v in values:
+                assert format_number(v, decimals) == format(round(v, decimals), f".{decimals}f")
+
     def test_format_number_nan(self):
-        assert format_number(float("nan"), 2) == "nan"
+        for value in (float("nan"), float("inf"), float("-inf"), None):
+            assert format_number(value, 2) == "nan"
 
     def test_render_alignment(self):
         text = render_text_table(["name", "x"], [["a", "1.00"], ["bb", "12.50"]])

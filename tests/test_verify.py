@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bibfactor import IndicatorTable
+from bibfactor import IndicatorTable, ValidationError
 from bibfactor.fixture import fixture_table
 from bibfactor.verify import run_verification
 
@@ -58,6 +58,10 @@ class TestVerify:
         assert report.n_binding_failed > 100
         # exactly reported values (integer medians and the like) still pass
         assert report.n_binding_failed < report.n_binding
+        # a negative or non-finite scale is refused before any check runs
+        for scale in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tolerance scale must be finite"):
+                run_verification(tolerance_scale=scale)
 
     def test_format_lines_summary(self, verification_report):
         lines = verification_report.format_lines()
