@@ -103,8 +103,11 @@ def pattern_from_efa(loadings, threshold, assign_max=False):
 
     A loading is freed where |loading| > threshold. Variables left without
     any free loading raise unless ``assign_max`` is set, in which case they
-    are assigned to their maximum-|loading| factor.
+    are assigned to their maximum-|loading| factor. The threshold must lie
+    in (0, 1).
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError("threshold must lie in (0, 1)")
     values = np.abs(loadings.values)
     mask = values > threshold
     if assign_max:
@@ -198,52 +201,54 @@ def _sigma_derivatives(loadings, phi, spec, pairs):
 class _Solution(NamedTuple):
     x: np.ndarray
     fun: float
+    information: np.ndarray
     nit: int
     nfev: int
     success: bool
 
 
-def minimize(fun, x0, *, information, lower, upper):
+def minimize(fun, x0, *, lower, upper):
     """Minimize F over the box [lower, upper] by projected Fisher scoring.
 
-    ``fun(x)`` returns (F, gradient), with F = inf where Sigma is not
-    positive definite; ``information(x)`` stands in for the Hessian. The
+    ``fun(x)`` returns (F, gradient, information), with (inf, None, None)
+    where Sigma is not positive definite; the information stands in for the
+    Hessian, and each step uses that of the point it starts from. The
     active set holds the coordinates within epsilon of the bound that their
     gradient pushes them towards, with epsilon no wider than the projected
     gradient (Bertsekas 1982). Active coordinates take a gradient step
     scaled by their diagonal of the information, the free ones the scoring
     step on their block of it. The step, clipped to the box, is halved
     while F rises, and the search stops at the first step that lowers F by
-    less than _TOL * (1 + F). ``nit`` counts steps.
+    less than _TOL * (1 + F). ``nit`` counts steps; ``information`` is that
+    of the final point.
     """
     x = np.clip(x0, lower, upper)
-    f, grad = fun(x)
+    f, grad, info = fun(x)
     nfev = 1
     if not math.isfinite(f):
-        return _Solution(x, f, 0, nfev, False)
+        return _Solution(x, f, info, 0, nfev, False)
     for nit in range(1, _MAX_ITER + 1):
         band = min(_ACTIVE_BAND, np.abs(x - np.clip(x - grad, lower, upper)).max())
         free = np.where(grad > 0, x - lower, upper - x) > band
         try:
-            hessian = information(x)
-            step = -grad / np.diagonal(hessian)
-            step[free] = -np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
+            step = -grad / np.diagonal(info)
+            step[free] = -np.linalg.solve(info[np.ix_(free, free)], grad[free])
         except np.linalg.LinAlgError:
-            return _Solution(x, f, nit - 1, nfev, False)
+            return _Solution(x, f, info, nit - 1, nfev, False)
         for _ in range(_MAX_HALVINGS):
             trial = np.clip(x + step, lower, upper)
-            f_trial, grad_trial = fun(trial)
+            f_trial, grad_trial, info_trial = fun(trial)
             nfev += 1
             if f_trial <= f:
                 break
             step /= 2.0
         else:
-            return _Solution(x, f, nit - 1, nfev, False)
+            return _Solution(x, f, info, nit - 1, nfev, False)
         decrease = f - f_trial
-        x, f, grad = trial, f_trial, grad_trial
+        x, f, grad, info = trial, f_trial, grad_trial, info_trial
         if decrease < _TOL * (1.0 + f):
-            return _Solution(x, f, nit, nfev, True)
-    return _Solution(x, f, _MAX_ITER, nfev, False)
+            return _Solution(x, f, info, nit, nfev, True)
+    return _Solution(x, f, info, _MAX_ITER, nfev, False)
 
 
 def cfa_fit(corr, n_obs, spec):
@@ -261,10 +266,11 @@ def cfa_fit(corr, n_obs, spec):
     -------
     CFAFit
         The discrepancy is F = ln|Sigma| + tr(S Sigma^-1) - ln|S| - p, zero
-        exactly when Sigma(theta) = S, minimized by bounded Fisher scoring;
-        ``iterations`` counts scoring steps. Uniquenesses are bounded below
-        at 1e-4 and factor correlations by 0.999 in absolute value; a
-        uniqueness on its bound flags a Heywood case.
+        exactly when Sigma(theta) = S, minimized by bounded Fisher scoring
+        from a start signed by the leading eigenvector of S; ``iterations``
+        counts scoring steps. Uniquenesses are bounded below at 1e-4 and
+        factor correlations by 0.999 in absolute value; a uniqueness on its
+        bound flags a Heywood case.
     """
     if tuple(corr.labels) != tuple(spec.labels):
         raise ValidationError("correlation labels do not match the pattern")
@@ -281,38 +287,35 @@ def cfa_fit(corr, n_obs, spec):
     n_pairs = pairs[0].size
     dim = n_load + n_pairs + p
 
-    def objective(theta):
+    def evaluate(theta):
         loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
         sigma = _implied(loadings, phi, theta_diag)
         try:
             root_inv = np.linalg.inv(np.linalg.cholesky(sigma))
         except np.linalg.LinAlgError:
-            return math.inf, None
+            return math.inf, None, None
         inv = root_inv.T @ root_inv
         # F = sum(lambda - ln lambda - 1) over the eigenvalues of Sigma^-1 S,
         # a sum of non-negative terms that stays >= 0 at an exact fit
         excess = np.linalg.eigvalsh(root_inv @ s @ root_inv.T) - 1.0
         value = float((excess - np.log1p(excess)).sum())
-        g = inv - inv @ s @ inv
         derivatives = _sigma_derivatives(loadings, phi, spec, pairs)
-        return value, np.einsum("ij,aij->a", g, derivatives)
-
-    def information(theta):
         # tr(Sigma^-1 dSigma_a Sigma^-1 dSigma_b), the Hessian of F where
         # Sigma = S: the scoring steps and the standard errors both use it
-        loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
-        weighted = np.linalg.inv(_implied(loadings, phi, theta_diag)) @ (
-            _sigma_derivatives(loadings, phi, spec, pairs)
-        )
-        return np.einsum("aij,bji->ab", weighted, weighted)
+        weighted = np.linalg.inv(sigma) @ derivatives
+        return (value, np.einsum("ij,aij->a", inv - inv @ s @ inv, derivatives),
+                np.einsum("aij,bji->ab", weighted, weighted))
 
+    # each free loading starts at 0.7 with the sign of its variable in the
+    # leading eigenvector of S, each factor oriented to a non-negative sum
+    signs = np.where(corr.eigenvectors[:, :1] < 0, -1.0, 1.0) * spec.loadings_free
+    signs *= np.where(signs.sum(axis=0) < 0, -1.0, 1.0)
     start = np.concatenate(
-        [np.full(n_load, 0.7), np.full(n_pairs, 0.3), np.full(p, 0.5)]
+        [0.7 * signs[spec.loadings_free], np.full(n_pairs, 0.3), np.full(p, 0.5)]
     )
     result = minimize(
-        objective,
+        evaluate,
         start,
-        information=information,
         lower=np.repeat([-np.inf, -_PHI_BOUND, _THETA_FLOOR], [n_load, n_pairs, p]),
         upper=np.repeat([np.inf, _PHI_BOUND, np.inf], [n_load, n_pairs, p]),
     )
@@ -332,7 +335,7 @@ def cfa_fit(corr, n_obs, spec):
         )
 
     try:
-        covariance = np.linalg.inv(information(result.x)) * 2.0 / (n_obs - 1)
+        covariance = np.linalg.inv(result.information) * 2.0 / (n_obs - 1)
         se_vector = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     except np.linalg.LinAlgError:
         se_vector = np.full(dim, np.nan)

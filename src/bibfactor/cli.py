@@ -9,7 +9,7 @@ loading summaries) and ``verify`` (the published-table regression harness).
 This module parses arguments and lays out text. Each result serialises
 itself (``to_dict()``); a command's ``--json`` payload is that dict plus the
 keys the command computes itself. Text tables of numbers go through
-``_table``; cfa's, whose factor column is text, builds its own rows.
+``_table``, which also takes text label columns such as cfa's factor.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on input or usage
 errors and on a confirmatory fit that does not converge. Diagnostics go to
@@ -99,9 +99,11 @@ def _resolve_vars(spec_text):
     names = tuple(v.strip() for v in spec_text.split(",") if v.strip())
     if not names:
         raise _UsageError(f"empty variable list {spec_text!r}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in INDICATOR_COLUMNS:
             raise _UsageError(f"unknown indicator {name!r}")
+        if name in names[:i]:
+            raise _UsageError(f"indicator {name!r} is listed twice")
     return names
 
 
@@ -156,13 +158,13 @@ def _csv(header, rows):
 
 
 def _table(headers, labels, values, decimals=3):
-    """A text table: one label cell per row, then ``values`` at ``decimals``,
+    """A text table: the columns in ``labels``, then ``values`` at ``decimals``,
     which broadcasts: one number, one per column, or per row as ``[[d], ...]``."""
     values = np.asarray(values, dtype=float)
     places = np.broadcast_to(decimals, values.shape).tolist()
     return render_text_table(headers, [
-        [label, *map(format_number, row, nd)]
-        for label, row, nd in zip(labels, values.tolist(), places)
+        [*cells, *map(format_number, row, nd)]
+        for cells, row, nd in zip(zip(*labels), values.tolist(), places)
     ])
 
 
@@ -172,7 +174,7 @@ def _cmd_indices(args):
 
     def as_text():
         decimals = [0 if c in _INT_COLUMNS else 1 for c in columns]
-        return _table(["scientist", *columns], table.labels, table.values, decimals)
+        return _table(["scientist", *columns], [table.labels], table.values, decimals)
 
     def as_payload():
         return {
@@ -201,7 +203,7 @@ def _cmd_describe(args):
     matrix = [[stats[v][name] for v in variables] for name in _DESCRIBE_ROWS]
     header = ["statistic", *variables]
     _emit(args,
-          lambda: _table(header, _DESCRIBE_ROWS, matrix,
+          lambda: _table(header, [_DESCRIBE_ROWS], matrix,
                          [[nd] for nd in _DESCRIBE_ROWS.values()]),
           lambda: stats,
           lambda: _csv(header, zip(_DESCRIBE_ROWS, matrix)))
@@ -227,18 +229,18 @@ def _cmd_efa(args):
             "",
             f"{args.rotation} loadings"
             + (" (pattern)" if args.rotation == "promax" else ""),
-            _table(header, [*variables, "SS"],
+            _table(header, [[*variables, "SS"]],
                    np.vstack([result.rotated.values, result.ss_loadings])),
         ]
         if result.structure is not None:
             parts += [
-                "", "structure", _table(header, variables, result.structure),
+                "", "structure", _table(header, [variables], result.structure),
                 "", "factor correlations",
-                _table(["factor", *factor_names], factor_names, result.phi),
+                _table(["factor", *factor_names], [factor_names], result.phi),
             ]
         parts += [
             "", "communalities",
-            _table(["variable", "communality"], variables,
+            _table(["variable", "communality"], [variables],
                    result.communalities[:, None]),
             "",
             "variance explained (%): "
@@ -283,25 +285,18 @@ def _cmd_cfa(args):
         )
 
     def as_text():
-        # the factor column is text, so the rows are built here
-        rows = []
-        for i, v in enumerate(variables):
-            j = int(np.argmax(spec.loadings_free[i]))
-            rows.append([
-                v, f"F{j + 1}",
-                format_number(fit.loadings[i, j], 3),
-                format_number(fit.se[i, j], 3),
-                format_number(fit.z[i, j], 2),
-                format_number(fit.p_values[i, j], 4),
-                format_number(fit.r_squared[i], 3),
-            ])
-        header = ["variable", "factor", "loading", "se", "z", "p", "R2"]
+        # each variable's first free loading
+        rows, cols = np.arange(spec.p), np.argmax(spec.loadings_free, axis=1)
+        cells = np.column_stack([fit.loadings[rows, cols], fit.se[rows, cols],
+                                 fit.z[rows, cols], fit.p_values[rows, cols],
+                                 fit.r_squared])
         phi_text = ", ".join(
             f"phi({i + 1},{j + 1}) = {format_number(fit.phi[i, j], 3)}"
             for i in range(spec.m) for j in range(i + 1, spec.m)
         )
         return "\n".join([
-            render_text_table(header, rows),
+            _table(["variable", "factor", "loading", "se", "z", "p", "R2"],
+                   [variables, [f"F{j + 1}" for j in cols]], cells, [3, 3, 2, 4, 3]),
             "",
             phi_text,
             f"discrepancy = {fit.discrepancy:.6g}   converged = {fit.converged} "
@@ -341,7 +336,7 @@ def _cmd_bootstrap(args):
             + (f" ({causes})" if causes else "")
             + f"  clamped resamples = {result.n_clamped}",
             _table(["loading", "full", "mean", "sd", "p2.5", "p97.5"],
-                   labels, summaries),
+                   [labels], summaries),
         ])
 
     _emit(args, as_text, result.to_dict)

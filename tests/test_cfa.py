@@ -67,6 +67,24 @@ def criterion_12_models():
         )
 
 
+def mixed_sign_models():
+    """Seeded one-factor models with mixed-sign loadings and t3 factor and
+    errors, each the given trial of its seed's stream of such draws. From a
+    start of +0.7 on every loading, each ended in a Heywood local minimum
+    above the L-BFGS-B fit."""
+    labels = tuple(f"v{i}" for i in range(5))
+    spec = PatternSpec(labels, np.ones((5, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
+    for seed, trial in [(2, 181), (3, 31), (6, 188)]:
+        rng = np.random.default_rng(seed)
+        for _ in range(trial + 1):
+            n = int(rng.integers(40, 301))
+            lam = rng.uniform(0.2, 0.9, 5) * rng.choice([-1.0, 1.0], 5)
+            factor = rng.standard_t(3, n)
+            errors = rng.standard_t(3, (n, 5)) * np.sqrt(1.0 - lam**2)
+        data = factor[:, None] * lam + errors
+        yield CorrelationMatrix(labels, np.corrcoef(data, rowvar=False)), spec, n
+
+
 def fixture_model():
     """Correlation matrix, pattern and n of the paper's 7+NC raw follow-up."""
     variables = VARIABLE_SETS["7+NC"]
@@ -85,7 +103,8 @@ def fixture_model():
 
 
 def fit_with_objective(monkeypatch, corr, n_obs, spec):
-    """Fit, and return the fit with the (F, gradient) objective it minimized."""
+    """Fit, and return the fit with the (F, gradient, information) evaluation
+    it minimized."""
     seen = {}
     real = cfa_mod.minimize
 
@@ -189,7 +208,7 @@ class TestAnalyticDerivatives:
                 rng.uniform(-0.3, 0.3, 3),
                 rng.uniform(0.2, 0.8, 7),
             ])
-            value, grad = objective(theta)
+            value, grad, _ = objective(theta)
             assert value < 1e12
             numeric = central_difference(lambda t: objective(t)[0], theta, 1e-6)
             assert np.abs(grad - numeric).max() <= 1e-6 * max(1.0, np.abs(grad).max())
@@ -375,6 +394,17 @@ class TestScoringAgainstLbfgsb:
             fit = self.check(corr, spec, 200, (5e-6, 5e-6, 5e-6))
             assert fit.iterations <= 10
 
+    @pytest.mark.filterwarnings("ignore::bibfactor.HeywoodWarning")
+    def test_signed_start_reaches_the_minimum(self):
+        for corr, spec, n_obs in mixed_sign_models():
+            fit = cfa_fit(corr, n_obs, spec)
+            oracle = oracle_cfa_fit(corr.values, spec.loadings_free, spec.phi_free)
+            assert fit.converged
+            assert fit.discrepancy <= oracle["discrepancy"] + 1e-12
+            # one factor is identified only up to its sign
+            assert np.abs(np.abs(fit.loadings) - np.abs(oracle["loadings"])).max() <= 5e-6
+            assert np.abs(fit.uniquenesses - oracle["uniquenesses"]).max() <= 5e-6
+
 
 class TestBoundedScoring:
     def test_box_constrained_quadratics_meet_kkt(self):
@@ -393,12 +423,10 @@ class TestBoundedScoring:
 
             def fun(x):
                 d = x - centre
-                return 0.5 * d @ hessian @ d, hessian @ d
+                return 0.5 * d @ hessian @ d, hessian @ d, hessian
 
             start = np.clip(rng.normal(size=dim), lower, upper)
-            result = cfa_mod.minimize(
-                fun, start, information=lambda x: hessian, lower=lower, upper=upper
-            )
+            result = cfa_mod.minimize(fun, start, lower=lower, upper=upper)
             assert result.success
             assert result.nfev >= result.nit + 1
             grad = fun(result.x)[1]
@@ -409,6 +437,28 @@ class TestBoundedScoring:
             assert np.abs(grad[inside]).max(initial=0.0) <= tol
             assert (grad[at_lower] >= -tol).all()
             assert (grad[at_upper] <= tol).all()
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        # each evaluation builds dSigma/dtheta once and yields F, the gradient
+        # and the information; nothing is evaluated again for the standard
+        # errors (the fixture fit: 14 evaluations in 12 steps)
+        real_derivatives, real_minimize = cfa_mod._sigma_derivatives, cfa_mod.minimize
+        seen = {"builds": 0}
+
+        def counted(*args):
+            seen["builds"] += 1
+            return real_derivatives(*args)
+
+        def recorded(*args, **kwargs):
+            seen["result"] = real_minimize(*args, **kwargs)
+            return seen["result"]
+
+        monkeypatch.setattr(cfa_mod, "_sigma_derivatives", counted)
+        monkeypatch.setattr(cfa_mod, "minimize", recorded)
+        corr, spec, n_obs = fixture_model()
+        with pytest.warns(HeywoodWarning):
+            cfa_fit(corr, n_obs, spec)
+        assert seen["builds"] == seen["result"].nfev
 
     def test_inadmissible_start_raises(self):
         # a star of free factor correlations at their start value 0.3 makes

@@ -20,7 +20,7 @@ from bibfactor.cli import main
 from bibfactor.efa import ExtractionSettings, adequacy, bootstrap_efa, efa_pipeline
 from bibfactor.fixture import VARIMAX_TABLES
 from bibfactor.stats import Transform
-from bibfactor.tables import INDICATOR_COLUMNS, VARIABLE_SETS
+from bibfactor.tables import INDICATOR_COLUMNS, VARIABLE_SETS, format_number
 from bibfactor.verify import run_verification
 
 
@@ -447,6 +447,12 @@ def test_transform_error_names_its_column(capsys, tmp_path, command):
                    "got 0.0 at position 2\n")
 
 
+@pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
+def test_repeated_variable_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "--fixture", "--vars", "h,m,h")
+    assert (code, out, err) == (2, "", "error: indicator 'h' is listed twice\n")
+
+
 def test_warning_filters_still_apply(capsys):
     # main records warnings as notes but leaves the filters as they are
     with warnings.catch_warnings():
@@ -510,6 +516,41 @@ class TestCfaCommand:
             capsys, "cfa", "--fixture", "--vars", "7", "--threshold", "0.95"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "1"])
+    def test_threshold_outside_unit_interval_exits_2(self, capsys, threshold):
+        code, out, err = run_cli(capsys, "cfa", "--fixture", "--threshold", threshold)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: threshold must lie in (0, 1)"
+
+    def test_text_cells_are_the_fit(self, capsys, monkeypatch):
+        # each row shows the variable's first free loading; a cell without a
+        # finite value prints as nan
+        real = cli.cfa_fit
+        seen = {}
+
+        def with_nan_cells(corr, n_obs, spec):
+            fit = real(corr, n_obs, spec)
+            se, z = fit.se.copy(), fit.z.copy()
+            se[0, 0] = z[1, 0] = np.nan
+            seen.update(spec=spec, fit=dataclasses.replace(fit, se=se, z=z))
+            return seen["fit"]
+
+        monkeypatch.setattr(cli, "cfa_fit", with_nan_cells)
+        code, out, _ = run_cli(capsys, "cfa", "--fixture")
+        assert code == 0
+        fit, spec = seen["fit"], seen["spec"]
+        rows = []
+        for i, v in enumerate(spec.labels):
+            j = spec.loadings_free[i].tolist().index(True)
+            cells = [fit.loadings[i, j], fit.se[i, j], fit.z[i, j],
+                     fit.p_values[i, j], fit.r_squared[i]]
+            rows.append([v, f"F{j + 1}", *map(format_number, cells, [3, 3, 2, 4, 3])])
+        lines = out.splitlines()
+        assert lines[0].split() == ["variable", "factor", "loading", "se", "z", "p", "R2"]
+        assert [line.split() for line in lines[2:2 + spec.p]] == rows
+        assert lines[2 + spec.p] == ""
+        assert sum(row.count("nan") for row in rows) == 2
 
 
 class TestBootstrapCommand:
