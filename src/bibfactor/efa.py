@@ -983,7 +983,9 @@ def bootstrap_efa(
     convergence, singularity) are skipped and counted in ``n_failed`` and,
     by exception class, in ``failures``. ``n_clamped`` counts the resamples
     whose extraction clamped a communality; each also emits one
-    :class:`HeywoodWarning`. Deterministic for a fixed seed.
+    :class:`HeywoodWarning`. Deterministic for a fixed seed. A table with
+    no more rows than variables raises :class:`InsufficientDataError`
+    before any resample runs, as :func:`bartlett` does in ``efa``.
 
     The table is transformed once, and the resamples run through the
     stacked kernels in chunks of 128, which bounds the working memory.
@@ -1005,6 +1007,8 @@ def bootstrap_efa(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     x = np.asarray(table, dtype=float)
     n = x.shape[0]
+    if n <= len(variables):
+        raise InsufficientDataError("need more observations than variables")
     if indices is None:
         rng = np.random.default_rng(seed)
         indices = rng.integers(0, n, size=(n_boot, n))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -177,6 +176,19 @@ def _long_header_ok(cells):
     return [h.strip().lower() for h in cells] == ["scientist", "citations"]
 
 
+class _LabelCodes(dict):
+    """Label cell text -> dense code of its stripped label. A new text is
+    stripped once; ``labels`` maps labels to codes in first appearance."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = {}
+
+    def __missing__(self, cell):
+        code = self[cell] = self.labels.setdefault(cell.strip(), len(self.labels))
+        return code
+
+
 def _parse_long_columns(text):
     """Long-format records tokenised column by column, as arrays, or None.
 
@@ -185,6 +197,10 @@ def _parse_long_columns(text):
     non-increasing within each group, and the int64 group bounds, so that
     record i is ``labels[i]`` with ``counts[bounds[i]:bounds[i + 1]]``.
     These feed :func:`indices.indicator_rows` directly.
+
+    Each label cell is one dict lookup, and each distinct label text is
+    stripped once. Counts come from the block's bytes where
+    :func:`_digit_counts` can read them, and from ``int()`` otherwise.
 
     Blank and whitespace-only lines are skipped. None means the text needs
     the csv row reader: it has a quote, a NUL, a lone carriage return, a
@@ -201,10 +217,10 @@ def _parse_long_columns(text):
     head_end = text.find("\n")
     if not 0 <= head_end <= limit or not _long_header_ok(text[:head_end].split(",")):
         return None
-    # a label seen for the first time gets the next dense code
-    codes = defaultdict()
-    codes.default_factory = codes.__len__
-    code_blocks, count_blocks = [], []
+    codes = _LabelCodes()
+    rows = text.count("\n") + 1
+    key, counts = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    filled = 0
     start = head_end + 1
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS)
@@ -213,39 +229,44 @@ def _parse_long_columns(text):
         start = end
         if not block.endswith("\n"):
             block += "\n"
-        if not _one_comma_per_line(block):
+        layout = _comma_layout(block)
+        if layout is None:
             # blank and whitespace-only lines are skipped, as by the row reader
             lines = block.split("\n")
             lines.pop()
             if max(map(len, lines)) > limit:
                 return None
             block = "".join(line + "\n" for line in lines if line.strip())
-            if not _one_comma_per_line(block):
+            if not block:
+                continue
+            layout = _comma_layout(block)
+            if layout is None:
                 return None
         cells = block.replace("\n", ",").split(",")
         cells.pop()
         if len(block) > limit and max(map(len, cells)) > limit:
             return None
-        labels = list(map(str.strip, cells[0::2]))
-        n = len(labels)
-        code_blocks.append(np.fromiter(map(codes.__getitem__, labels), np.int64, n))
-        try:
-            count_blocks.append(np.fromiter(map(int, cells[1::2]), np.int64, n))
-        except (ValueError, OverflowError):
-            return None
-    if not codes or "" in codes:
+        n = len(cells) // 2
+        part = slice(filled, filled + n)
+        filled += n
+        key[part] = np.fromiter(map(codes.__getitem__, cells[0::2]), np.int64, n)
+        values = _digit_counts(*layout)
+        if values is None:
+            try:
+                values = np.fromiter(map(int, cells[1::2]), np.int64, n)
+            except (ValueError, OverflowError):
+                return None
+        counts[part] = values
+    if not codes.labels or "" in codes.labels:
         return None
-    counts = np.concatenate(count_blocks)
-    del count_blocks
+    key, counts = key[:filled], counts[:filled]
     if counts.min() < 0:
         return None
     top = int(counts.max()) + 1
-    if len(codes) * top > np.iinfo(np.int64).max:
+    if len(codes.labels) * top > np.iinfo(np.int64).max:
         return None
     # one sort orders by label code, then by count, largest first
-    key = np.concatenate(code_blocks)
-    del code_blocks
-    bounds = np.zeros(len(codes) + 1, np.int64)
+    bounds = np.zeros(len(codes.labels) + 1, np.int64)
     np.cumsum(np.bincount(key), out=bounds[1:])
     key *= top
     key += top - 1
@@ -254,19 +275,42 @@ def _parse_long_columns(text):
     key.sort()
     np.remainder(key, top, out=key)
     np.subtract(top - 1, key, out=key)
-    return list(codes), key, bounds
+    return list(codes.labels), key, bounds
 
 
-def _one_comma_per_line(block):
-    """Whether every line of the block, which ends in a line feed, holds
-    exactly one comma.
+def _comma_layout(block):
+    """The block's UTF-8 bytes and the positions of its commas and of its
+    line feeds, or None unless every line of the block, which ends in a line
+    feed, holds exactly one comma.
 
     Commas and line feeds never occur inside a multi-byte UTF-8 sequence,
     so their bytes alone show where cells and lines end.
     """
     raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
-    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    return bool((seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all())
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    commas, feeds = seps[0::2], seps[1::2]
+    ok = (raw[commas] == ord(",")).all() and (raw[feeds] == ord("\n")).all()
+    return (raw, commas, feeds) if ok else None
+
+
+def _digit_counts(raw, commas, feeds):
+    """The block's counts read from its bytes, as ``int()`` reads them, or
+    None unless every count cell is 1 to 18 ASCII digits (one carriage
+    return may precede its line feed). 18 digits stay below 2**63.
+    """
+    end = feeds - (raw[feeds - 1] == ord("\r"))
+    width = end - commas - 1
+    if width.min() < 1 or width.max() > 18:
+        return None
+    counts = np.zeros(len(end), np.int64)
+    for k in range(width.max()):
+        # digit k from the right; a shorter cell reads a byte left of it
+        digit = raw[end - 1 - k] - np.uint8(ord("0"))
+        digit[width <= k] = 0
+        if digit.max() > 9:
+            return None
+        counts += np.multiply(digit, 10**k, dtype=np.int64)
+    return counts
 
 
 def parse_citations(stream, fmt="long"):

@@ -10,7 +10,7 @@ purely diagnostic targets are reported without affecting it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class VerifyReport:
             "n_binding": self.n_binding,
             "n_binding_failed": self.n_binding_failed,
             "n_reported": self.n_reported,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
 

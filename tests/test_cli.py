@@ -581,6 +581,15 @@ class TestBootstrapCommand:
                                  "upper"]
         assert payload == expected
 
+    def test_fewer_rows_than_variables_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("scientist,citations\na,10\na,3\na,7\na,1\nb,5\nb,2\nb,2\n"
+                        "c,30\nc,12\nc,9\nc,4\nc,1\n")
+        for command in ("efa", "bootstrap"):
+            code, out, err = run_cli(capsys, command, "--input", str(path))
+            assert (code, out, err) == (
+                2, "", "error: need more observations than variables\n")
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "bootstrap", "--fixture", "--B", "5", "--seed", "-1"

@@ -460,6 +460,15 @@ class TestPipeline:
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("n_rows", [3, 7])
+    def test_no_more_rows_than_variables_rejected(self, fixture, n_rows):
+        from bibfactor import InsufficientDataError
+
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        with pytest.raises(InsufficientDataError,
+                           match="^need more observations than variables$"):
+            bootstrap_efa(sub.values[:n_rows], sub.columns, n_boot=5, seed=0)
+
     def test_identity_resample_equals_full_sample(self, fixture):
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
         n = sub.n_rows

@@ -95,6 +95,10 @@ COLUMNAR_CASES = {
     "count syntax of int()": HEADER + "a,+5\na,1_000\na,３\na,007\na,-0\n",
     "non-ASCII labels": HEADER + "　é　,5\né,2\n\x85é,1\n",
     "largest key": HEADER + f"a,{2**62 - 1}\n",
+    "18-digit count": HEADER + f"a,{10**18 - 1}\na,5\n",
+    "19-digit count below 2**63": HEADER + f"a,{10**18}\na,5\n",
+    "leading zeros": HEADER + "a,007\nb,00\na,000000000000000012\n",
+    "CRLF with multi-digit counts": "scientist,citations\r\na,12345\r\nb,678\r\na,90\r\n",
 }
 
 
@@ -125,7 +129,8 @@ def _parsed(text):
 
 def _random_long_text(rng):
     labels = ["a", "b", " a", "c ", "Doe J.", "é", "　x", "12"]
-    counts = ["0", "1", "5", "17", " 7", "+5", "1_000", "３", "007", "-0", "123456789"]
+    counts = ["0", "1", "5", "17", " 7", "+5", "1_000", "３", "007", "-0", "123456789",
+              "123456789012345678"]
     odd_counts = ["-2", "3.5", "", "x", str(2**63), str(2**70), '"4"']
     newline = "\r\n" if rng.random() < 0.3 else "\n"
     lines = ["scientist,citations"]
@@ -203,6 +208,43 @@ class TestParseCitationsLongEquivalence:
         text = HEADER + "\n".join(lines) + "\n\n"
         assert tables._parse_long_columns(text) is not None
         assert _parsed(text) == oracle_parse_citations_long(text)
+
+    def test_block_of_whitespace_only_lines(self, monkeypatch):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", 8)
+        text = HEADER + "a,5\n" + "   \n\t\n" * 8 + "b,3\n"
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+        assert _same_table_both_ways(text)
+
+    def test_byte_and_int_blocks_mixed(self, monkeypatch):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", 8)
+        text = HEADER + "a,5\nb,17\na,300\n" * 4 + "b,+5\na,1\n" + "b,42\n" * 3
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+        assert _same_table_both_ways(text)
+
+    def test_padded_label_first_keeps_its_place(self):
+        text = HEADER + "b,9\n a,1\na,2\na ,3\n"
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == [("b", (9,)), ("a", (3, 2, 1))]
+        assert _parsed(text) == oracle_parse_citations_long(text)
+        assert _same_table_both_ways(text)
+
+    @pytest.mark.parametrize("block, expected", [
+        ("a,5\nb,17\n", [5, 17]),
+        ("a,12345\r\nb,007\r\n", [12345, 7]),
+        (f"a,{10**18 - 1}\nb,0\n", [10**18 - 1, 0]),
+        (f"a,{10**18}\n", None),
+        ("a,5\nb,+5\n", None),
+        ("a, 7\n", None),
+        ("a,３\n", None),
+        ("a,\n", None),
+        ("a,\r\n", None),
+    ])
+    def test_counts_from_bytes(self, block, expected):
+        """Only blocks of 1 to 18 ASCII digits per count are read from bytes."""
+        counts = tables._digit_counts(*tables._comma_layout(block))
+        assert (None if counts is None else counts.tolist()) == expected
 
     def test_text_file_stream(self, tmp_path):
         path = tmp_path / "mac.csv"
