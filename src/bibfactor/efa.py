@@ -102,8 +102,8 @@ def symmetric_eigen(matrix):
     Parameters
     ----------
     matrix : array-like, shape (p, p)
-        Must be symmetric within 1e-10 (absolute, relative to the largest
-        entry). The symmetrized average is decomposed.
+        Must be finite and symmetric within 1e-10 (absolute, relative to
+        the largest entry). The symmetrized average is decomposed.
 
     Returns
     -------
@@ -114,6 +114,8 @@ def symmetric_eigen(matrix):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
     asym = float(np.abs(m - m.T).max()) if m.size else 0.0
     if asym > _EIGEN_SYMMETRY_TOL * scale:
@@ -149,6 +151,12 @@ def _checked_correlations(v):
     error it fails with (or None).
     """
     errors = _no_errors(v.shape[:-2])
+    finite = np.isfinite(v).all(axis=(-2, -1))
+    _fail(errors, ~finite,
+          lambda i: ValidationError("correlation matrix has non-finite entries"))
+    # a non-finite matrix goes on as the identity, so the steps below raise
+    # no floating-point warning and cannot stop the rest of the stack
+    v = np.where(finite[..., None, None], v, np.eye(v.shape[-1]))
     asym = np.abs(v - _swap(v)).max(axis=(-2, -1), initial=0.0)
     _fail(errors, asym > 1e-8,
           lambda i: ValidationError("correlation matrix is not symmetric"))
@@ -328,8 +336,11 @@ def _canonicalize(values):
 class LoadingMatrix:
     """A p x m loading matrix tagged with its rotation state.
 
-    Columns are ordered by descending sum of squared loadings and signed so
-    every column sum is non-negative.
+    The extraction and rotation kernels return canonical loadings: columns
+    ordered by descending sum of squared loadings and signed so every column
+    sum is non-negative. The constructor keeps the columns as given, so the
+    output of :func:`align_loadings` and a published reference table keep
+    their own order and signs.
     """
 
     labels: tuple[str, ...]

@@ -43,7 +43,11 @@ class GConvention(Enum):
 
 @dataclass(frozen=True)
 class CitationRecord:
-    """Citation counts of one scientist, sorted non-increasing."""
+    """Citation counts of one scientist: non-negative, sorted non-increasing.
+
+    :func:`normalize_record` builds one from counts in any order; the index
+    functions reject any other record with ``ValidationError``.
+    """
 
     label: str
     counts: tuple[int, ...]
@@ -130,9 +134,10 @@ def _too_many_citations(label):
 def record_arrays(records):
     """The counts of CitationRecords as one int64 array, and record bounds.
 
-    Record i is ``counts[bounds[i]:bounds[i + 1]]``. A count beyond int64
-    raises ``ValidationError`` naming its record, and a count that is not
-    an integer raises ``TypeError``.
+    Record i is ``counts[bounds[i]:bounds[i + 1]]``. A count beyond int64,
+    a negative count or counts that are not sorted non-increasing raise
+    ``ValidationError`` naming the record, and a count that is not an
+    integer raises ``TypeError``.
     """
     bounds = np.zeros(len(records) + 1, np.int64)
     np.cumsum([len(rec.counts) for rec in records], out=bounds[1:])
@@ -145,6 +150,17 @@ def record_arrays(records):
         label = next(rec.label for rec in records
                      if max(map(abs, rec.counts), default=0) > MAX_TOTAL)
         raise _too_many_citations(label) from None
+    # the first count of each record is compared with none before it
+    starts = bounds[:-1][np.diff(bounds) > 0]
+    bad = counts < 0
+    bad[1:] |= counts[1:] > counts[:-1]
+    bad[starts] = counts[starts] < 0
+    if bad.any():
+        label = records[int(np.searchsorted(bounds, bad.argmax(), "right")) - 1].label
+        raise ValidationError(
+            f"record {label!r}: citation counts must be non-negative and sorted "
+            f"non-increasing; normalize_record builds such a record"
+        )
     return counts, bounds
 
 

@@ -57,20 +57,18 @@ class IndicatorTable:
     def n_rows(self):
         return len(self.labels)
 
-    def column(self, name):
+    def _index(self, name):
         try:
-            j = self.columns.index(name)
+            return self.columns.index(name)
         except ValueError:
             raise ValidationError(f"no column named {name!r}") from None
-        return self.values[:, j].copy()
+
+    def column(self, name):
+        return self.values[:, self._index(name)].copy()
 
     def subset(self, columns):
         """A new table restricted to the given columns, in the given order."""
-        idx = []
-        for name in columns:
-            if name not in self.columns:
-                raise ValidationError(f"no column named {name!r}")
-            idx.append(self.columns.index(name))
+        idx = [self._index(name) for name in columns]
         return IndicatorTable(self.labels, columns, self.values[:, idx])
 
     def __eq__(self, other):
@@ -100,42 +98,49 @@ def _parse_cell(text, line):
     return value
 
 
-def _csv_rows(stream):
-    """The rows of a csv reader over ``stream`` (a str or a text file).
+def _csv_rows(stream, header):
+    """``(line, cells)`` for each row of the CSV ``stream`` (a str or a text
+    file), where ``line`` is the physical line on which the row starts.
 
-    A ``csv.Error`` (a lone carriage return, a cell beyond the field size
+    With ``header``, the first row is yielded as it is, blank or not, and no
+    row at all is "empty input". Blank rows after it are skipped, and no
+    data row is "no data rows", at line 2 with a header and 1 without. A
+    ``csv.Error`` (a lone carriage return, a cell beyond the field size
     limit) becomes a :class:`ParseError` at the reader's line.
     """
     reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    start = 1
+    rows = 0
     try:
-        yield from reader
+        for cells in reader:
+            line, start = start, reader.line_num + 1
+            if (header and line == 1) or (cells and (len(cells) > 1 or cells[0].strip())):
+                rows += 1
+                yield line, cells
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
+    if header and not rows:
+        raise ParseError("empty input", line=1)
+    if rows == (1 if header else 0):
+        raise ParseError("no data rows", line=rows + 1)
 
 
 def parse_indicator_table(stream):
     """Parse a CSV indicator table (label column first, then indicators)."""
-    reader = _csv_rows(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input", line=1) from None
+    reader = _csv_rows(stream, header=True)
+    _, header = next(reader)
     if len(header) < 2:
         raise ParseError("expected a label column plus indicator columns", line=1)
     columns = [_canonical_column(name, line=1) for name in header[1:]]
     labels = []
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for line, row in reader:
         if len(row) != len(header):
             raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}", line=line_no
+                f"expected {len(header)} cells, got {len(row)}", line=line
             )
         labels.append(row[0].strip())
-        rows.append([_parse_cell(cell, line_no) for cell in row[1:]])
-    if not rows:
-        raise ParseError("no data rows", line=2)
+        rows.append([_parse_cell(cell, line) for cell in row[1:]])
     return IndicatorTable(labels, columns, np.array(rows))
 
 
@@ -166,9 +171,10 @@ def _parse_count(cell, line):
     return value
 
 
-# Long-format text is tokenised in blocks of about this many characters:
-# under csv's default field size limit, so a block rarely needs its cell
-# lengths checked against it.
+# Long-format text is tokenised in blocks of this many characters plus the
+# rest of the line that crosses the end: under csv's default field size
+# limit unless that line is about as long, so one length check per block
+# stands in for a check of each cell against the limit.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -204,9 +210,10 @@ def _parse_long_columns(text):
 
     Blank and whitespace-only lines are skipped. None means the text needs
     the csv row reader: it has a quote, a NUL, a lone carriage return, a
-    malformed line, a bad header, a cell beyond the csv field size limit,
-    an empty label, a count that ``int()`` rejects or that is negative, or
-    a count or sort key beyond int64. The row reader then returns the same
+    malformed line, a bad header, a header line or block longer than the
+    csv field size limit (as any cell beyond it makes them), an empty label,
+    a count that ``int()`` rejects or that is negative, or a count or sort
+    key beyond int64. The row reader then returns the same
     records or raises the same error.
     """
     if '"' in text or "\0" in text or (
@@ -227,6 +234,9 @@ def _parse_long_columns(text):
         end = len(text) if end < 0 else end + 1
         block = text[start:end]
         start = end
+        # a block is longer than the limit whenever one of its cells is
+        if len(block) > limit:
+            return None
         if not block.endswith("\n"):
             block += "\n"
         layout = _comma_layout(block)
@@ -234,8 +244,6 @@ def _parse_long_columns(text):
             # blank and whitespace-only lines are skipped, as by the row reader
             lines = block.split("\n")
             lines.pop()
-            if max(map(len, lines)) > limit:
-                return None
             block = "".join(line + "\n" for line in lines if line.strip())
             if not block:
                 continue
@@ -244,8 +252,6 @@ def _parse_long_columns(text):
                 return None
         cells = block.replace("\n", ",").split(",")
         cells.pop()
-        if len(block) > limit and max(map(len, cells)) > limit:
-            return None
         n = len(cells) // 2
         part = slice(filled, filled + n)
         filled += n
@@ -326,7 +332,9 @@ def parse_citations(stream, fmt="long"):
 
     Long-format text is tokenised column by column. Quoted cells and
     malformed lines go through the csv row reader instead, which gives the
-    same records and reports errors with their line numbers.
+    same records and reports errors at the physical line on which their row
+    starts. A long-format text file is read whole, and its lines are split
+    as iterating a file opened with ``newline=""`` splits them.
 
     Returns
     -------
@@ -334,12 +342,8 @@ def parse_citations(stream, fmt="long"):
         Grouped by label in first-appearance order, counts sorted.
     """
     if fmt == "long":
-        if not isinstance(stream, str):
-            # the row reader below must see the lines that iterating the file gives
-            stream = list(stream)
-        columns = _parse_long_columns(
-            stream if isinstance(stream, str) else "".join(stream)
-        )
+        text = stream if isinstance(stream, str) else stream.read()
+        columns = _parse_long_columns(text)
         if columns is not None:
             labels, counts, bounds = columns
             counts, bounds = counts.tolist(), bounds.tolist()
@@ -347,50 +351,41 @@ def parse_citations(stream, fmt="long"):
                 CitationRecord(label, tuple(counts[a:b]))
                 for label, a, b in zip(labels, bounds, bounds[1:])
             ]
+        if not isinstance(stream, str):
+            # lines split as iterating a file opened with newline="" splits them
+            stream = io.StringIO(text, newline="")
     return _parse_rows(stream, fmt)
 
 
 def _parse_rows(stream, fmt):
     """Citation records through the csv row reader."""
-    reader = _csv_rows(stream)
     if fmt == "long":
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input", line=1) from None
-        if not _long_header_ok(header):
+        reader = _csv_rows(stream, header=True)
+        if not _long_header_ok(next(reader)[1]):
             raise ParseError(
                 "long format needs the header 'scientist,citations'", line=1
             )
         grouped = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for line, row in reader:
             if len(row) != 2:
-                raise ParseError(f"expected 2 cells, got {len(row)}", line=line_no)
+                raise ParseError(f"expected 2 cells, got {len(row)}", line=line)
             label = row[0].strip()
             if not label:
-                raise ParseError("empty scientist label", line=line_no)
-            grouped.setdefault(label, []).append(_parse_count(row[1], line_no))
-        if not grouped:
-            raise ParseError("no data rows", line=2)
+                raise ParseError("empty scientist label", line=line)
+            grouped.setdefault(label, []).append(_parse_count(row[1], line))
         return [normalize_record(label, counts) for label, counts in grouped.items()]
     if fmt == "wide":
         records = []
         seen = set()
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for line, row in _csv_rows(stream, header=False):
             label = row[0].strip()
             if not label:
-                raise ParseError("empty scientist label", line=line_no)
+                raise ParseError("empty scientist label", line=line)
             if label in seen:
-                raise ParseError(f"duplicate label {label!r}", line=line_no)
+                raise ParseError(f"duplicate label {label!r}", line=line)
             seen.add(label)
-            counts = [_parse_count(cell, line_no) for cell in row[1:] if cell.strip() != ""]
+            counts = [_parse_count(cell, line) for cell in row[1:] if cell.strip() != ""]
             records.append(normalize_record(label, counts))
-        if not records:
-            raise ParseError("no data rows", line=1)
         return records
     raise ValidationError(f"unknown citation format {fmt!r}")
 

@@ -161,12 +161,22 @@ def _check_adequacy(report, table, scale, results):
              note="prose value for the expanded model")
 
 
-def _check_loading_tables(report, scale, aligned):
-    for tables, tol_key in ((fx.VARIMAX_TABLES, "loading"), (fx.PROMAX_TABLES, "promax")):
+def _check_loading_tables(report, scale, results):
+    """Check each published loading table against its pipeline's loadings,
+    aligned to the table; return the aligned loadings by (table, transform).
+    A promax pattern starts from the varimax solution of the same input."""
+    aligned = {}
+    for tables, rotation, tol_key in ((fx.VARIMAX_TABLES, "varimax", "loading"),
+                                      (fx.PROMAX_TABLES, "promax", "promax")):
         tol = fx.TOLERANCES[tol_key] * scale
         for table_id, spec in tables.items():
             variables = spec["variables"]
             for key, cells in spec["loadings"].items():
+                loadings = results[(variables, key)].rotated
+                if rotation == "promax":
+                    loadings = promax(loadings, spec["kappa"]).pattern
+                reference = LoadingMatrix(variables, [cells[v] for v in variables], rotation)
+                aligned[(table_id, key)] = align_loadings(loadings, reference)
                 values = aligned[(table_id, key)].values
                 for i, v in enumerate(variables):
                     for j in range(2):
@@ -177,6 +187,7 @@ def _check_loading_tables(report, scale, aligned):
                     for j, expected in enumerate(spec["ss_loadings"][key]):
                         _num(report, table_id, f"SS F{j + 1} {key}", expected,
                              float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
+    return aligned
 
 
 def _check_communalities(report, scale, results):
@@ -284,23 +295,11 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
             results[(variables, key)] = efa_pipeline(
                 values, variables, Transform(key), settings, "varimax"
             )
-    # every published loading table aligned once to its reference; a promax
-    # pattern starts from the varimax solution of the same input
-    aligned = {}
-    for tables, rotation in ((fx.VARIMAX_TABLES, "varimax"), (fx.PROMAX_TABLES, "promax")):
-        for table_id, spec in tables.items():
-            variables = spec["variables"]
-            for key, cells in spec["loadings"].items():
-                loadings = results[(variables, key)].rotated
-                if rotation == "promax":
-                    loadings = promax(loadings, spec["kappa"]).pattern
-                reference = LoadingMatrix(variables, [cells[v] for v in variables], rotation)
-                aligned[(table_id, key)] = align_loadings(loadings, reference)
 
     _check_consistency(report, table, scale)
     _check_descriptives(report, table, scale)
     _check_adequacy(report, table, scale, results)
-    _check_loading_tables(report, scale, aligned)
+    aligned = _check_loading_tables(report, scale, results)
     _check_communalities(report, scale, results)
     _check_variance_explained(report, scale, results, aligned)
     _check_categorization(report, aligned)

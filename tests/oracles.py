@@ -234,8 +234,13 @@ def oracle_student_ml(values):
 
 
 def _oracle_csv_rows(reader):
+    """(start line, row) per row; a row starts on the line after the last
+    line the reader consumed for the row before it."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -244,21 +249,21 @@ def oracle_parse_citations_long(stream):
     """Long-format citation records by the csv row loop.
 
     Returns ``[(label, counts)]`` in first-appearance order with counts
-    sorted non-increasing, or raises ``ParseError`` with the line number of
-    the first bad row; a row the csv reader cannot split raises it at the
-    reader's line count.
+    sorted non-increasing, or raises ``ParseError`` with the physical line
+    on which the first bad row starts; a row the csv reader cannot split
+    raises it at the reader's line count.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = _oracle_csv_rows(csv.reader(stream))
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ParseError("empty input", line=1) from None
     if [h.strip().lower() for h in header] != ["scientist", "citations"]:
         raise ParseError("long format needs the header 'scientist,citations'", line=1)
     grouped = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

@@ -299,6 +299,17 @@ class TestDescribeCommand:
                 round(payload[variable]["mean"], 2), abs=1e-9
             )
 
+    def test_csv_is_the_json_at_repr_precision(self, capsys):
+        payload = json_payload(capsys, "describe", "--fixture")
+        code, out, _ = run_cli(capsys, "describe", "--fixture", "--csv")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "statistic,h,m,g,h2,A,R,hw"
+        assert [row.split(",")[0] for row in rows] == DESCRIBE_STATS
+        for row in rows:
+            name, *cells = row.split(",")
+            assert cells == [repr(payload[v][name]) for v in VARIABLE_SETS["7"]]
+
     def test_json_keys(self, capsys):
         payload = json_payload(capsys, "describe", "--fixture")
         assert list(payload) == list(VARIABLE_SETS["7"])
@@ -419,6 +430,40 @@ class TestEfaCommand:
         assert "varimax loadings" in out
         assert "communalities" in out
         assert "variance explained" in out
+        assert "structure" not in out and "factor correlations" not in out
+
+    def test_promax_text_has_structure_and_factor_correlations(self, capsys):
+        payload = json_payload(capsys, "efa", "--fixture", "--rotation", "promax")
+        code, out, _ = run_cli(capsys, "efa", "--fixture", "--rotation", "promax")
+        assert code == 0
+        blocks = {block.split("\n", 1)[0]: block for block in out.split("\n\n")}
+        assert "promax loadings (pattern)" in blocks
+        structure = blocks["structure"].splitlines()[3:]
+        assert [line.split()[0] for line in structure] == payload["variables"]
+        for line, row in zip(structure, payload["structure"]):
+            assert line.split()[1:] == [format_number(x, 3) for x in row]
+        phi = blocks["factor correlations"].splitlines()[3:]
+        assert [line.split() for line in phi] == [
+            [f"F{i + 1}", *(format_number(x, 3) for x in row)]
+            for i, row in enumerate(payload["phi"])
+        ]
+
+    def test_one_factor_promax_is_its_varimax_solution(self, capsys):
+        varimax = json_payload(capsys, "efa", "--fixture", "--factors", "1")
+        promax = json_payload(capsys, "efa", "--fixture", "--factors", "1",
+                              "--rotation", "promax")
+        assert promax["phi"] == [[1.0]]
+        assert promax["loadings"] == varimax["loadings"]
+        assert promax["structure"] == varimax["loadings"]
+
+    def test_csv_is_the_rotated_loadings(self, capsys):
+        payload = json_payload(capsys, "efa", "--fixture")
+        code, out, _ = run_cli(capsys, "efa", "--fixture", "--csv")
+        assert code == 0
+        assert out.splitlines() == ["variable,F1,F2"] + [
+            ",".join([v, *map(repr, row)])
+            for v, row in zip(payload["variables"], payload["loadings"])
+        ]
 
     def test_custom_variable_list(self, capsys):
         code, out, _ = run_cli(
@@ -451,6 +496,12 @@ def test_transform_error_names_its_column(capsys, tmp_path, command):
 def test_repeated_variable_exits_2(capsys, command):
     code, out, err = run_cli(capsys, command, "--fixture", "--vars", "h,m,h")
     assert (code, out, err) == (2, "", "error: indicator 'h' is listed twice\n")
+
+
+@pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
+def test_empty_variable_list_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "--fixture", "--vars", ",")
+    assert (code, out, err) == (2, "", "error: empty variable list ','\n")
 
 
 def test_warning_filters_still_apply(capsys):

@@ -31,7 +31,7 @@ from bibfactor import (
     varimax,
 )
 from bibfactor import stats
-from bibfactor.efa import _guarded, _sorted_eigh, _varimax_criterion
+from bibfactor.efa import _checked_correlations, _guarded, _sorted_eigh, _varimax_criterion
 from bibfactor.stats import apply_transform
 from bibfactor.tables import VARIABLE_SETS
 from oracles import oracle_bootstrap_efa, oracle_efa_loadings
@@ -84,6 +84,11 @@ class TestSymmetricEigen:
         with pytest.raises(ValidationError):
             symmetric_eigen(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            symmetric_eigen(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestCorrelationMatrix:
     def test_identical_columns(self):
@@ -112,6 +117,25 @@ class TestCorrelationMatrix:
     def test_validation_rejects_bad_diagonal(self):
         with pytest.raises(ValidationError):
             CorrelationMatrix(("a", "b"), np.array([[1.0, 0.2], [0.2, 0.9]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^correlation matrix has non-finite entries$"):
+                CorrelationMatrix(("a", "b"), np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_non_finite_matrix_fails_only_its_place_in_a_stack(self, fixture):
+        corr = correlation_matrix(fixture.subset(("h", "m", "g")).values, ("h", "m", "g"))
+        stack = np.stack([corr.values] * 3)
+        stack[1, 0, 2] = stack[1, 2, 0] = np.nan
+        values, eigenvalues, eigenvectors, errors = _checked_correlations(stack)
+        assert [e is None for e in errors] == [True, False, True]
+        assert str(errors[1]) == "correlation matrix has non-finite entries"
+        for i in (0, 2):
+            assert np.array_equal(values[i], corr.values)
+            assert np.array_equal(eigenvalues[i], corr.eigenvalues)
+            assert np.array_equal(eigenvectors[i], corr.eigenvectors)
 
     def test_smc_within_unit_interval(self, fixture):
         sub = fixture.subset(("h", "m", "g"))
@@ -490,6 +514,12 @@ class TestBootstrap:
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
         assert a.n_failed == b.n_failed
+
+    def test_every_resample_failing_raises(self, fixture):
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
+        indices = np.zeros((3, sub.n_rows), dtype=int)
+        with pytest.raises(ConvergenceError, match="^every bootstrap resample failed$"):
+            bootstrap_efa(sub.values, sub.columns, n_boot=3, seed=0, indices=indices)
 
     def test_degenerate_resample_counted_not_fatal(self, fixture):
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))

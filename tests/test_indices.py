@@ -381,3 +381,16 @@ class TestProperties:
         assert indicator_set(rec) == indicator_set(normalize_record("y", [4, 1, 9, 4]))
         with pytest.raises(TypeError):
             indicator_set(CitationRecord("y", (9.5, 4)))
+
+    @pytest.mark.parametrize("counts", [(1, 5, 3), (3, -1), (-2,), (4, 4, 0, 1)])
+    @pytest.mark.parametrize("call", [
+        indicator_set,
+        interpolated_set,
+        lambda rec: table_from_records([normalize_record("a", [2, 7]), rec]),
+        lambda rec: table_from_records([rec, CitationRecord("empty", ())]),
+    ], ids=["indicator_set", "interpolated_set", "table second", "table first"])
+    def test_unsorted_or_negative_record_rejected(self, counts, call):
+        message = ("^record 'x': citation counts must be non-negative and sorted "
+                   "non-increasing; normalize_record builds such a record$")
+        with pytest.raises(ValidationError, match=message):
+            call(CitationRecord("x", counts))

@@ -77,6 +77,10 @@ ROW_READER_CASES = {
     "label beyond the field limit": HEADER + "x" * (_FIELD_LIMIT + 1) + ",5\n",
     "count beyond the field limit": HEADER + "a,5" + " " * _FIELD_LIMIT + "\n",
     "blank line beyond the field limit": HEADER + "a,5\n" + " " * (_FIELD_LIMIT + 1) + "\nb,3\n",
+    # a block longer than the limit, whose cells are not
+    "line beyond the field limit, cells within it":
+        HEADER + "a,5\n" + "b" * 70_000 + ",3" + " " * 70_000 + "\n",
+    "70K line crossing a block end": HEADER + "a,5\n" * 16_384 + "b,3" + " " * 70_000 + "\n",
 }
 
 # Inputs the columnar path must parse itself.
@@ -253,6 +257,40 @@ class TestParseCitationsLongEquivalence:
             records = parse_citations(handle)
         assert [(r.label, r.counts) for r in records] == [("a", (5, 1)), ("b", (3,))]
 
+    @pytest.mark.parametrize("text, newline", [
+        ("scientist,citations\na,5\nb,3\na,1\n", None),
+        ("scientist,citations\ra,5\rb,3\ra,1\r", ""),
+        ("scientist,citations\r\na,5\r\nb,3\r\na,1\r\n", ""),
+        ("scientist,citations\r\na,5\r\nb,3\r\na,1\r\n", None),
+        ('scientist,citations\r\n"a",5\rb,3\n"a\r\n",1\r\n', ""),
+    ], ids=["LF default", "Mac newline=''", "CRLF newline=''", "CRLF default", "mixed quoted"])
+    def test_text_file_equals_its_text(self, tmp_path, text, newline):
+        """A file is split into lines as iterating it with newline='' splits
+        it, so it gives the records of its text with every line end an LF."""
+        path = tmp_path / "long.csv"
+        path.write_text(text, newline="")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            records = parse_citations(handle)
+        assert [(r.label, r.counts) for r in records] == [("a", (5, 1)), ("b", (3,))]
+        lines = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert records == parse_citations(lines)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_citations, 'scientist,citations\n"q\nr",5\nb,x\n',
+     "line 4: citation count 'x' is not an integer"),
+    (lambda text: parse_citations(text, fmt="wide"), 'a,1\n"q\nr",5\nb,x\n',
+     "line 4: citation count 'x' is not an integer"),
+    (parse_indicator_table, 'scientist,h,g\n"q\nr",5,6\n\nb,7\n',
+     "line 5: expected 3 cells, got 2"),
+    (parse_citations, 'scientist,citations\r\n"q\r\n\r\nr",5\r\nb,-1\r\n',
+     "line 5: negative citation count -1"),
+], ids=["long", "wide", "indicators", "long CRLF"])
+def test_error_line_is_where_its_row_starts(parse, text, message):
+    """After a quoted cell that spans lines, errors name the physical line."""
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse(text)
+
 
 class TestParseCitationsWide:
     def test_sorts_counts(self):
@@ -270,6 +308,15 @@ class TestParseCitationsWide:
     def test_unknown_format(self):
         with pytest.raises(ValidationError):
             parse_citations("a,1\n", fmt="tall")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,1\n  ,2\n", "line 2: empty scientist label"),
+        ("", "line 1: no data rows"),
+        ("\n \n\t\n", "line 1: no data rows"),
+    ])
+    def test_input_errors(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_citations(text, fmt="wide")
 
 
 class TestIndicatorTableParsing:
@@ -305,6 +352,22 @@ class TestIndicatorTableParsing:
     def test_duplicate_rows_rejected(self):
         with pytest.raises(ValidationError):
             parse_indicator_table("scientist,h\nA,1\nA,2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty input"),
+        ("scientist\nA\n", "line 1: expected a label column plus indicator columns"),
+        ("\nscientist,h\n", "line 1: expected a label column plus indicator columns"),
+        ("scientist,h\n", "line 2: no data rows"),
+        ("scientist,h\n\n  \n", "line 2: no data rows"),
+    ])
+    def test_input_errors(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_indicator_table(text)
+
+    def test_blank_rows_skipped(self):
+        parsed = parse_indicator_table("scientist,h\n\nA,1\n \t\nB,2\n")
+        assert parsed.labels == ("A", "B")
+        assert parsed.column("h").tolist() == [1.0, 2.0]
 
 
 class TestIndicatorTable:
