@@ -98,9 +98,15 @@ def _parse_cell(text, line):
     return value
 
 
-def _csv_rows(stream, header):
-    """``(line, cells)`` for each row of the CSV ``stream`` (a str or a text
-    file), where ``line`` is the physical line on which the row starts.
+def _read(stream):
+    """The text of a str or a text file, read once, and the ``newline`` that
+    splits it: a str at line feeds only, a file as ``newline=""`` does."""
+    return (stream, "\n") if isinstance(stream, str) else (stream.read(), "")
+
+
+def _csv_rows(text, newline, header):
+    """``(line, cells)`` for each row of the CSV ``text`` split at
+    ``newline``, where ``line`` is the physical line on which the row starts.
 
     With ``header``, the first row is yielded as it is, blank or not, and no
     row at all is "empty input". Blank rows after it are skipped, and no
@@ -108,7 +114,7 @@ def _csv_rows(stream, header):
     ``csv.Error`` (a lone carriage return, a cell beyond the field size
     limit) becomes a :class:`ParseError` at the reader's line.
     """
-    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    reader = csv.reader(io.StringIO(text, newline=newline))
     start = 1
     rows = 0
     try:
@@ -126,8 +132,9 @@ def _csv_rows(stream, header):
 
 
 def parse_indicator_table(stream):
-    """Parse a CSV indicator table (label column first, then indicators)."""
-    reader = _csv_rows(stream, header=True)
+    """Parse a CSV indicator table (label column first, then indicators)
+    from a str or a text file."""
+    reader = _csv_rows(*_read(stream), header=True)
     _, header = next(reader)
     if len(header) < 2:
         raise ParseError("expected a label column plus indicator columns", line=1)
@@ -319,12 +326,25 @@ def _digit_counts(raw, commas, feeds):
     return counts
 
 
+def _read_citations(stream, fmt):
+    """The arrays of :func:`_parse_long_columns` when the columnar path
+    parses the input, else the row reader's list of records as it is, so
+    counts beyond int64 stay Python ints."""
+    text, newline = _read(stream)
+    columns = _parse_long_columns(text) if fmt == "long" else None
+    return _parse_rows(text, newline, fmt) if columns is None else columns
+
+
 def parse_citations(stream, fmt="long"):
     """Parse citation records from CSV text.
 
     Parameters
     ----------
     stream : str or text file
+        A str is split into lines at line feeds only, so a lone carriage
+        return is a parse error. A text file is read whole, and its lines
+        are split as iterating a file opened with ``newline=""`` splits
+        them, so a Mac file (lone CR line ends) parses.
     fmt : {"long", "wide"}
         Long: ``scientist,citations`` header, one publication per line.
         Wide: no header, ``label,c1,c2,...`` per scientist; duplicate labels
@@ -333,34 +353,28 @@ def parse_citations(stream, fmt="long"):
     Long-format text is tokenised column by column. Quoted cells and
     malformed lines go through the csv row reader instead, which gives the
     same records and reports errors at the physical line on which their row
-    starts. A long-format text file is read whole, and its lines are split
-    as iterating a file opened with ``newline=""`` splits them.
+    starts.
 
     Returns
     -------
     list of CitationRecord
         Grouped by label in first-appearance order, counts sorted.
     """
-    if fmt == "long":
-        text = stream if isinstance(stream, str) else stream.read()
-        columns = _parse_long_columns(text)
-        if columns is not None:
-            labels, counts, bounds = columns
-            counts, bounds = counts.tolist(), bounds.tolist()
-            return [
-                CitationRecord(label, tuple(counts[a:b]))
-                for label, a, b in zip(labels, bounds, bounds[1:])
-            ]
-        if not isinstance(stream, str):
-            # lines split as iterating a file opened with newline="" splits them
-            stream = io.StringIO(text, newline="")
-    return _parse_rows(stream, fmt)
+    parsed = _read_citations(stream, fmt)
+    if isinstance(parsed, list):
+        return parsed
+    labels, counts, bounds = parsed
+    counts, bounds = counts.tolist(), bounds.tolist()
+    return [
+        CitationRecord(label, tuple(counts[a:b]))
+        for label, a, b in zip(labels, bounds, bounds[1:])
+    ]
 
 
-def _parse_rows(stream, fmt):
+def _parse_rows(text, newline, fmt):
     """Citation records through the csv row reader."""
     if fmt == "long":
-        reader = _csv_rows(stream, header=True)
+        reader = _csv_rows(text, newline, header=True)
         if not _long_header_ok(next(reader)[1]):
             raise ParseError(
                 "long format needs the header 'scientist,citations'", line=1
@@ -375,34 +389,33 @@ def _parse_rows(stream, fmt):
             grouped.setdefault(label, []).append(_parse_count(row[1], line))
         return [normalize_record(label, counts) for label, counts in grouped.items()]
     if fmt == "wide":
-        records = []
-        seen = set()
-        for line, row in _csv_rows(stream, header=False):
+        records = {}
+        for line, row in _csv_rows(text, newline, header=False):
             label = row[0].strip()
             if not label:
                 raise ParseError("empty scientist label", line=line)
-            if label in seen:
+            if label in records:
                 raise ParseError(f"duplicate label {label!r}", line=line)
-            seen.add(label)
             counts = [_parse_count(cell, line) for cell in row[1:] if cell.strip() != ""]
-            records.append(normalize_record(label, counts))
-        return records
+            records[label] = normalize_record(label, counts)
+        return list(records.values())
     raise ValidationError(f"unknown citation format {fmt!r}")
 
 
-def citation_table(text, fmt="long", convention=GConvention.PADDED):
-    """Parse citation CSV text straight into its indicator table.
+def citation_table(stream, fmt="long", convention=GConvention.PADDED):
+    """Parse citation CSV, a str or a text file as :func:`parse_citations`
+    takes it, straight into its indicator table.
 
     Long-format text that the columnar path tokenises goes to the index
     engine as arrays, without building records; other input takes the csv
     row reader and :func:`table_from_records`. Errors are those of
     :func:`parse_citations` and :func:`table_from_records`.
     """
-    columns = _parse_long_columns(text) if fmt == "long" else None
-    if columns is None:
-        return table_from_records(_parse_rows(text, fmt), convention)
+    parsed = _read_citations(stream, fmt)
+    if isinstance(parsed, list):
+        return table_from_records(parsed, convention)
     return IndicatorTable(
-        columns[0], INDICATOR_COLUMNS, indicator_rows(*columns, convention)
+        parsed[0], INDICATOR_COLUMNS, indicator_rows(*parsed, convention)
     )
 
 

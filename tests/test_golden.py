@@ -1,0 +1,77 @@
+"""Golden outputs of the ingest commands.
+
+Each command runs in-process through ``cli.main``; its stdout, stderr and
+exit code must match ``tests/golden`` byte for byte. The inputs are small
+committed files, so no random stream decides what is compared.
+
+After an intended output change, regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` and say why each one moved.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from bibfactor.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+
+def _input(name):
+    return ["--input", str(INPUTS / name)]
+
+
+_SOURCES = {
+    "fixture": ["--fixture"],
+    "long-lf": _input("long_lf.csv"),
+    "long-crlf-quoted": _input("long_crlf_quoted.csv"),
+    "wide": [*_input("wide.csv"), "--format", "wide"],
+}
+
+# name -> (argv, exit code)
+COMMANDS = {
+    f"indices-{source}{suffix}": (["indices", *argv, *flag], 0)
+    for source, argv in _SOURCES.items()
+    for suffix, flag in (("", []), ("-json", ["--json"]), ("-csv", ["--csv"]))
+}
+COMMANDS.update({
+    "error-lone-cr": (["indices", *_input("lone_cr.csv")], 2),
+    "error-quoted-two-line": (["indices", *_input("quoted_two_line.csv")], 2),
+    "error-beyond-2-53": (["indices", *_input("beyond_2_53.csv")], 2),
+})
+
+
+def run(argv):
+    """Exit code, stdout and stderr of ``cli.main`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _read(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_golden_output(name):
+    argv, expected_code = COMMANDS[name]
+    code, out, err = run(argv)
+    assert code == expected_code
+    assert out == _read(GOLDEN / f"{name}.stdout")
+    assert err == _read(GOLDEN / f"{name}.stderr")
+
+
+if __name__ == "__main__":
+    for name, (argv, expected_code) in COMMANDS.items():
+        code, out, err = run(argv)
+        if code != expected_code:
+            sys.exit(f"{name}: exit code {code}, expected {expected_code}")
+        for suffix, text in ((".stdout", out), (".stderr", err)):
+            with open(GOLDEN / f"{name}{suffix}", "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)

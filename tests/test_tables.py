@@ -275,6 +275,18 @@ class TestParseCitationsLongEquivalence:
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         assert records == parse_citations(lines)
 
+    @pytest.mark.parametrize("block_chars", [1 << 16, 8])
+    def test_seeded_random_inputs_from_a_file(self, tmp_path, monkeypatch, block_chars):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(20261018)
+        path = tmp_path / "long.csv"
+        for _ in range(400):
+            text = _random_long_text(rng)
+            path.write_text(text, encoding="utf-8", newline="")
+            for read in (_parsed, tables.citation_table):
+                with open(path, encoding="utf-8", newline="") as handle:
+                    assert _outcome(read, handle) == _outcome(read, _lf(text))
+
 
 @pytest.mark.parametrize("parse, text, message", [
     (parse_citations, 'scientist,citations\n"q\nr",5\nb,x\n',
@@ -290,6 +302,81 @@ def test_error_line_is_where_its_row_starts(parse, text, message):
     """After a quoted cell that spans lines, errors name the physical line."""
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse(text)
+
+
+def _lf(text):
+    """The text with every line end a line feed."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+_LONG_STREAM_INPUTS = [
+    "scientist,citations\na,5\nb,3\na,1\n",
+    "scientist,citations\r\na,5\r\nb,3\r\na,1\r\n",
+    "scientist,citations\ra,5\rb,3\ra,1\r",
+    'scientist,citations\r\n"Doe, J.",5\rb,3\n"Doe, J.\r\n",1\r\n',
+    'scientist,citations\r\n"q\r\nr",5\rb,x\n',
+    "scientist,citations\na,5\rb,-1\r\n",
+    f"scientist,citations\ra,{2**63}\rb,3\r",
+    f"scientist,citations\ra,{2**53}\ra,1\r",
+    "scientist,citations\r\n\r\n",
+    "",
+]
+_WIDE_STREAM_INPUTS = [
+    "a,3,10,5\nb,1\n",
+    "a,3,10,5\r\nb,1\r\nc\r\n",
+    "a,3,10,5\rb,1\r",
+    f"a,{2**63},1\rb,1\r",
+    'a,1\r"q\r\nr",5\nb,x\r',
+    "a,1\ra,2\r",
+    "a,3\r\n\r\n  ,2\r\n",
+    "\r\n \r",
+]
+_INDICATOR_STREAM_INPUTS = [
+    "scientist,h,g\nA,39,67\nB,12,20\n",
+    "scientist,h,g\r\nA,39,67\r\nB,12,20\r\n",
+    "scientist,h,g\rA,39,67\r\rB,12,20\r",
+    'scientist,h,g\r"q\r\nr",5,6\n\rb,7\r\n',
+    "scientist,h\r\nA,nan\r\n",
+    "scientist,h\r\r",
+]
+_STREAM_READERS = {
+    "parse_citations long": (parse_citations, _LONG_STREAM_INPUTS),
+    "parse_citations wide": (lambda s: parse_citations(s, fmt="wide"), _WIDE_STREAM_INPUTS),
+    "citation_table long": (tables.citation_table, _LONG_STREAM_INPUTS),
+    "citation_table wide": (lambda s: tables.citation_table(s, "wide"), _WIDE_STREAM_INPUTS),
+    "parse_indicator_table": (parse_indicator_table, _INDICATOR_STREAM_INPUTS),
+}
+
+
+def _streams(tmp_path, text):
+    """The text as an ``io.StringIO``, then as a file opened with
+    ``newline=""`` and as one opened with the default newline."""
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    yield io.StringIO(text)
+    for newline in ("", None):
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+
+
+@pytest.mark.parametrize("reader, text", [
+    pytest.param(name, text, id=f"{name} {i}")
+    for name, (_, inputs) in _STREAM_READERS.items() for i, text in enumerate(inputs)
+])
+def test_stream_gives_what_its_lf_text_gives(tmp_path, reader, text):
+    """Every reader splits a stream's lines by one rule: records, table or
+    error are those of the stream's text with every line end an LF."""
+    read = _STREAM_READERS[reader][0]
+    expected = _outcome(read, _lf(text))
+    for stream in _streams(tmp_path, text):
+        assert _outcome(read, stream) == expected
+
+
+def test_citation_table_reads_a_stream():
+    text = "scientist,citations\na,5\n"
+    table = tables.citation_table(io.StringIO(text))
+    assert table == tables.citation_table(text)
+    assert table.labels == ("a",) and table.column("N").tolist() == [1.0]
 
 
 class TestParseCitationsWide:
