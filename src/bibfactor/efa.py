@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import (
     AsymmetricMatrixError,
@@ -715,6 +714,7 @@ def bartlett(corr, n_obs):
     log_det = float(np.log(corr.eigenvalues).sum())
     chi2 = -(n_obs - 1 - (2 * p + 5) / 6.0) * log_det
     df = p * (p - 1) // 2
+    from scipy.special import gammaincc
     p_value = float(gammaincc(df / 2.0, max(chi2, 0.0) / 2.0)) if df else 1.0
     return chi2, df, p_value
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, kolmogorov, ndtr, stdtr
 
 from .errors import (
     BibfactorError,
@@ -147,13 +146,15 @@ def describe(values):
 
 def normal_cdf(z):
     """Standard normal CDF, element-wise."""
+    from scipy.special import ndtr
     return ndtr(z)
 
 
 def student_cdf(x, df):
     """CDF of the standard Student t with ``df`` degrees of freedom, element-wise."""
-    if df <= 0:
+    if not df > 0:
         raise ValidationError("df must be positive")
+    from scipy.special import stdtr
     return stdtr(df, x)
 
 
@@ -236,6 +237,7 @@ def _em_block(stack, col, df, mu, sigma, x_buf, w_buf, t_buf):
 
 def _student_loglik(stack, col, df, mu, sigma, x_buf, t_buf):
     """Student log-likelihood of each candidate of a block, summed in ``t_buf``."""
+    from scipy.special import gammaln
     t = t_buf[:col.size]
     np.subtract(_gather(stack, col, x_buf), mu[:, None], out=t)
     t /= sigma[:, None]
@@ -351,6 +353,7 @@ def kolmogorov_sf(lam):
 
     Clamped into [1e-300, 1] so that a p-value is never exactly zero.
     """
+    from scipy.special import kolmogorov
     return np.clip(kolmogorov(lam), 1e-300, 1.0)
 
 

@@ -52,16 +52,51 @@ DESCRIBE_STATS = ["mean", "median", "sd", "D_normal", "p_normal", "D_student",
                   "p_student"]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # in a fresh interpreter: the test oracles import scipy.optimize into this one
+# the bootstrap configurations perfbench runs, at a small B
+BOOTSTRAPS = [["bootstrap", "--fixture", "--B", "20", "--seed", "31", "--vars", vars_,
+               "--transform", transform, "--rotation", rotation]
+              for vars_, transform, rotation in (("7", "raw", "varimax"),
+                                                 ("7+NC", "ln", "promax"))]
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import bibfactor, bibfactor.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert bibfactor.cli.main(argv) == 0
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def scipy_modules_after(*commands):
+    """The scipy modules loaded after importing bibfactor and after each command.
+
+    Runs in a fresh interpreter: the test oracles import scipy into this one.
+    """
     src = str(Path(bibfactor.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bibfactor.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert done.stdout == "False\n"
+    return json.loads(done.stdout)
+
+
+def test_indices_and_bootstrap_load_no_scipy():
+    seen = scipy_modules_after(["indices", "--fixture"], *BOOTSTRAPS)
+    assert seen == {"import": [], "indices": [], "bootstrap": []}
+
+
+@pytest.mark.parametrize("argv", [["describe", "--fixture"], ["verify"]],
+                         ids=["describe", "verify"])
+def test_p_value_commands_load_scipy_special_not_optimize(argv):
+    # the deferred imports fire where a p-value or likelihood is computed
+    seen = scipy_modules_after(argv)[argv[0]]
+    assert "scipy.special" in seen
+    assert "scipy.optimize" not in seen
 
 
 class TestIndicesCommand:

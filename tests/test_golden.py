@@ -1,4 +1,4 @@
-"""Golden outputs of the ingest commands.
+"""Golden outputs of the ingest and analysis commands.
 
 Each command runs in-process through ``cli.main``; its stdout, stderr and
 exit code must match ``tests/golden`` byte for byte. The inputs are small
@@ -42,6 +42,16 @@ COMMANDS.update({
     "error-lone-cr": (["indices", *_input("lone_cr.csv")], 2),
     "error-quoted-two-line": (["indices", *_input("quoted_two_line.csv")], 2),
     "error-beyond-2-53": (["indices", *_input("beyond_2_53.csv")], 2),
+})
+# text only: it prints rounded values, so it reads the same on every numpy build
+COMMANDS.update({
+    "verify": (["verify"], 0),
+    "efa-fixture": (["efa", "--fixture"], 0),
+    "efa-fixture-7nc-ln-promax": (
+        ["efa", "--fixture", "--vars", "7+NC", "--transform", "ln", "--rotation", "promax"], 0),
+    "describe-fixture": (["describe", "--fixture"], 0),
+    "cfa-fixture": (["cfa", "--fixture"], 0),
+    "bootstrap-fixture-b50": (["bootstrap", "--fixture", "--B", "50", "--seed", "1"], 0),
 })
 
 

@@ -186,6 +186,12 @@ class TestStudentCdf:
         vals = [student_cdf(x, 5) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("df", [float("nan"), -2.0])
+    def test_df_not_positive_rejected(self, df):
+        # NaN fails every comparison, so it must be refused as DistSpec refuses it
+        with pytest.raises(ValidationError, match="^df must be positive$"):
+            student_cdf(1.0, df)
+
 
 class TestKolmogorovSf:
     def test_agrees_with_scipy(self):
