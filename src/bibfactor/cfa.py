@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .efa import check_threshold
 from .errors import (
     ConvergenceError,
     HeywoodWarning,
@@ -106,8 +107,7 @@ def pattern_from_efa(loadings, threshold, assign_max=False):
     are assigned to their maximum-|loading| factor. The threshold must lie
     in (0, 1).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must lie in (0, 1)")
+    check_threshold(threshold)
     values = np.abs(loadings.values)
     mask = values > threshold
     if assign_max:

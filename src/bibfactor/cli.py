@@ -33,6 +33,7 @@ from .efa import (
     adequacy,
     bootstrap_efa,
     categorize,
+    check_threshold,
     efa_pipeline,
 )
 from .errors import BibfactorError, ConvergenceError, ParseError
@@ -211,6 +212,7 @@ def _cmd_describe(args):
 
 
 def _cmd_efa(args):
+    check_threshold(args.threshold)
     values, variables, transform = _model_input(args)
     result = efa_pipeline(values, variables, transform,
                           ExtractionSettings(n_factors=args.factors),
@@ -272,6 +274,7 @@ def _cmd_efa(args):
 
 
 def _cmd_cfa(args):
+    check_threshold(args.threshold)
     values, variables, transform = _model_input(args)
     efa = efa_pipeline(values, variables, transform,
                        ExtractionSettings(n_factors=args.factors), "varimax")

@@ -846,10 +846,15 @@ class Categorization:
         }
 
 
-def categorize(loadings, threshold=0.6):
-    """Assign each variable to every factor where |loading| > threshold."""
+def check_threshold(threshold):
+    """Raise ``ValidationError`` unless a loading threshold lies in (0, 1)."""
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must lie in (0, 1)")
+
+
+def categorize(loadings, threshold=0.6):
+    """Assign each variable to every factor where |loading| > threshold."""
+    check_threshold(threshold)
     memberships = tuple(
         frozenset(
             j + 1

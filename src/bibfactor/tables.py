@@ -9,8 +9,10 @@ and indicator columns drawn from the canonical vocabulary.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +133,17 @@ def _csv_rows(text, newline, header):
         raise ParseError("no data rows", line=rows + 1)
 
 
+def _new_label(cell, line, seen):
+    """The stripped label of the row at ``line``; it must be non-empty and
+    not in ``seen``."""
+    label = cell.strip()
+    if not label:
+        raise ParseError("empty scientist label", line=line)
+    if label in seen:
+        raise ParseError(f"duplicate label {label!r}", line=line)
+    return label
+
+
 def parse_indicator_table(stream):
     """Parse a CSV indicator table (label column first, then indicators)
     from a str or a text file."""
@@ -138,15 +151,20 @@ def parse_indicator_table(stream):
     _, header = next(reader)
     if len(header) < 2:
         raise ParseError("expected a label column plus indicator columns", line=1)
-    columns = [_canonical_column(name, line=1) for name in header[1:]]
-    labels = []
+    columns = []
+    for name in header[1:]:
+        name = _canonical_column(name, line=1)
+        if name in columns:
+            raise ParseError(f"duplicate column {name!r}", line=1)
+        columns.append(name)
+    labels = {}
     rows = []
     for line, row in reader:
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} cells, got {len(row)}", line=line
             )
-        labels.append(row[0].strip())
+        labels[_new_label(row[0], line, labels)] = None
         rows.append([_parse_cell(cell, line) for cell in row[1:]])
     return IndicatorTable(labels, columns, np.array(rows))
 
@@ -189,19 +207,6 @@ def _long_header_ok(cells):
     return [h.strip().lower() for h in cells] == ["scientist", "citations"]
 
 
-class _LabelCodes(dict):
-    """Label cell text -> dense code of its stripped label. A new text is
-    stripped once; ``labels`` maps labels to codes in first appearance."""
-
-    def __init__(self):
-        super().__init__()
-        self.labels = {}
-
-    def __missing__(self, cell):
-        code = self[cell] = self.labels.setdefault(cell.strip(), len(self.labels))
-        return code
-
-
 def _parse_long_columns(text):
     """Long-format records tokenised column by column, as arrays, or None.
 
@@ -211,17 +216,13 @@ def _parse_long_columns(text):
     record i is ``labels[i]`` with ``counts[bounds[i]:bounds[i + 1]]``.
     These feed :func:`indices.indicator_rows` directly.
 
-    Each label cell is one dict lookup, and each distinct label text is
-    stripped once. Counts come from the block's bytes where
-    :func:`_digit_counts` can read them, and from ``int()`` otherwise.
-
-    Blank and whitespace-only lines are skipped. None means the text needs
-    the csv row reader: it has a quote, a NUL, a lone carriage return, a
-    malformed line, a bad header, a header line or block longer than the
-    csv field size limit (as any cell beyond it makes them), an empty label,
-    a count that ``int()`` rejects or that is negative, or a count or sort
-    key beyond int64. The row reader then returns the same
-    records or raises the same error.
+    Only canonical text is read here: after the header, every line holds
+    exactly one comma and ends in LF or CRLF (the last may end the text),
+    no line is blank, every label is non-empty and equal to its ``strip()``,
+    and every count is 1 to 18 ASCII digits. None means any other text, or
+    a line or block beyond the csv field size limit, or a sort key beyond
+    int64; the csv row reader then returns the same records or raises the
+    same error.
     """
     if '"' in text or "\0" in text or (
         "\r" in text and text.count("\r") != text.count("\r\n")
@@ -231,7 +232,7 @@ def _parse_long_columns(text):
     head_end = text.find("\n")
     if not 0 <= head_end <= limit or not _long_header_ok(text[:head_end].split(",")):
         return None
-    codes = _LabelCodes()
+    codes = collections.defaultdict(itertools.count().__next__)
     rows = text.count("\n") + 1
     key, counts = np.empty(rows, np.int64), np.empty(rows, np.int64)
     filled = 0
@@ -246,40 +247,23 @@ def _parse_long_columns(text):
             return None
         if not block.endswith("\n"):
             block += "\n"
-        layout = _comma_layout(block)
-        if layout is None:
-            # blank and whitespace-only lines are skipped, as by the row reader
-            lines = block.split("\n")
-            lines.pop()
-            block = "".join(line + "\n" for line in lines if line.strip())
-            if not block:
-                continue
-            layout = _comma_layout(block)
-            if layout is None:
-                return None
-        cells = block.replace("\n", ",").split(",")
-        cells.pop()
-        n = len(cells) // 2
-        part = slice(filled, filled + n)
-        filled += n
-        key[part] = np.fromiter(map(codes.__getitem__, cells[0::2]), np.int64, n)
-        values = _digit_counts(*layout)
+        values = _block_counts(block)
         if values is None:
-            try:
-                values = np.fromiter(map(int, cells[1::2]), np.int64, n)
-            except (ValueError, OverflowError):
-                return None
-        counts[part] = values
-    if not codes.labels or "" in codes.labels:
+            return None
+        n = len(values)
+        label_cells = block.replace("\n", ",").split(",")[0:-1:2]
+        key[filled:filled + n] = np.fromiter(map(codes.__getitem__, label_cells), np.int64, n)
+        counts[filled:filled + n] = values
+        filled += n
+    labels = list(codes)
+    if not labels or not all(label and label == label.strip() for label in labels):
         return None
     key, counts = key[:filled], counts[:filled]
-    if counts.min() < 0:
-        return None
     top = int(counts.max()) + 1
-    if len(codes.labels) * top > np.iinfo(np.int64).max:
+    if len(labels) * top > np.iinfo(np.int64).max:
         return None
     # one sort orders by label code, then by count, largest first
-    bounds = np.zeros(len(codes.labels) + 1, np.int64)
+    bounds = np.zeros(len(labels) + 1, np.int64)
     np.cumsum(np.bincount(key), out=bounds[1:])
     key *= top
     key += top - 1
@@ -288,13 +272,14 @@ def _parse_long_columns(text):
     key.sort()
     np.remainder(key, top, out=key)
     np.subtract(top - 1, key, out=key)
-    return list(codes.labels), key, bounds
+    return labels, key, bounds
 
 
-def _comma_layout(block):
-    """The block's UTF-8 bytes and the positions of its commas and of its
-    line feeds, or None unless every line of the block, which ends in a line
-    feed, holds exactly one comma.
+def _block_counts(block):
+    """The counts of a block of whole lines, read from its UTF-8 bytes, or
+    None unless every line holds exactly one comma and ends in a line feed,
+    with a count of 1 to 18 ASCII digits (and one carriage return) before
+    it. 18 digits stay below 2**63.
 
     Commas and line feeds never occur inside a multi-byte UTF-8 sequence,
     so their bytes alone show where cells and lines end.
@@ -302,15 +287,8 @@ def _comma_layout(block):
     raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     commas, feeds = seps[0::2], seps[1::2]
-    ok = (raw[commas] == ord(",")).all() and (raw[feeds] == ord("\n")).all()
-    return (raw, commas, feeds) if ok else None
-
-
-def _digit_counts(raw, commas, feeds):
-    """The block's counts read from its bytes, as ``int()`` reads them, or
-    None unless every count cell is 1 to 18 ASCII digits (one carriage
-    return may precede its line feed). 18 digits stay below 2**63.
-    """
+    if not ((raw[commas] == ord(",")).all() and (raw[feeds] == ord("\n")).all()):
+        return None
     end = feeds - (raw[feeds - 1] == ord("\r"))
     width = end - commas - 1
     if width.min() < 1 or width.max() > 18:
@@ -350,10 +328,11 @@ def parse_citations(stream, fmt="long"):
         Wide: no header, ``label,c1,c2,...`` per scientist; duplicate labels
         are rejected.
 
-    Long-format text is tokenised column by column. Quoted cells and
-    malformed lines go through the csv row reader instead, which gives the
-    same records and reports errors at the physical line on which their row
-    starts.
+    Canonical long-format text (see :func:`_parse_long_columns`: one
+    comma per line, no blank line, unpadded labels, counts of 1 to 18
+    digits) is tokenised column by column. All other text goes through the
+    csv row reader, which gives the same records and reports errors at the
+    physical line on which their row starts.
 
     Returns
     -------
@@ -383,19 +362,13 @@ def _parse_rows(text, newline, fmt):
         for line, row in reader:
             if len(row) != 2:
                 raise ParseError(f"expected 2 cells, got {len(row)}", line=line)
-            label = row[0].strip()
-            if not label:
-                raise ParseError("empty scientist label", line=line)
+            label = _new_label(row[0], line, ())
             grouped.setdefault(label, []).append(_parse_count(row[1], line))
         return [normalize_record(label, counts) for label, counts in grouped.items()]
     if fmt == "wide":
         records = {}
         for line, row in _csv_rows(text, newline, header=False):
-            label = row[0].strip()
-            if not label:
-                raise ParseError("empty scientist label", line=line)
-            if label in records:
-                raise ParseError(f"duplicate label {label!r}", line=line)
+            label = _new_label(row[0], line, records)
             counts = [_parse_count(cell, line) for cell in row[1:] if cell.strip() != ""]
             records[label] = normalize_record(label, counts)
         return list(records.values())
@@ -406,8 +379,8 @@ def citation_table(stream, fmt="long", convention=GConvention.PADDED):
     """Parse citation CSV, a str or a text file as :func:`parse_citations`
     takes it, straight into its indicator table.
 
-    Long-format text that the columnar path tokenises goes to the index
-    engine as arrays, without building records; other input takes the csv
+    Canonical long-format text goes to the index engine as arrays, without
+    building records; other input takes the csv
     row reader and :func:`table_from_records`. Errors are those of
     :func:`parse_citations` and :func:`table_from_records`.
     """

@@ -29,6 +29,8 @@ _SOURCES = {
     "fixture": ["--fixture"],
     "long-lf": _input("long_lf.csv"),
     "long-crlf-quoted": _input("long_crlf_quoted.csv"),
+    "long-canonical": _input("long_canonical.csv"),
+    "long-noncanonical": _input("long_noncanonical.csv"),
     "wide": [*_input("wide.csv"), "--format", "wide"],
 }
 
@@ -42,6 +44,9 @@ COMMANDS.update({
     "error-lone-cr": (["indices", *_input("lone_cr.csv")], 2),
     "error-quoted-two-line": (["indices", *_input("quoted_two_line.csv")], 2),
     "error-beyond-2-53": (["indices", *_input("beyond_2_53.csv")], 2),
+    "error-efa-threshold-2": (["efa", "--fixture", "--threshold", "2"], 2),
+    "error-cfa-threshold-1": (["cfa", "--fixture", "--threshold", "1"], 2),
+    "error-describe-repeated-var": (["describe", "--fixture", "--vars", "h,h"], 2),
 })
 # text only: it prints rounded values, so it reads the same on every numpy build
 COMMANDS.update({
@@ -49,8 +54,14 @@ COMMANDS.update({
     "efa-fixture": (["efa", "--fixture"], 0),
     "efa-fixture-7nc-ln-promax": (
         ["efa", "--fixture", "--vars", "7+NC", "--transform", "ln", "--rotation", "promax"], 0),
+    "efa-fixture-none-3": (["efa", "--fixture", "--rotation", "none", "--factors", "3"], 0),
+    "efa-fixture-1-promax": (["efa", "--fixture", "--factors", "1", "--rotation", "promax"], 0),
     "describe-fixture": (["describe", "--fixture"], 0),
+    "describe-fixture-7nsc-ln1p": (
+        ["describe", "--fixture", "--vars", "7+NSC", "--transform", "ln1p"], 0),
     "cfa-fixture": (["cfa", "--fixture"], 0),
+    "cfa-fixture-7-ln-06": (
+        ["cfa", "--fixture", "--vars", "7", "--transform", "ln", "--threshold", "0.6"], 0),
     "bootstrap-fixture-b50": (["bootstrap", "--fixture", "--B", "50", "--seed", "1"], 0),
 })
 

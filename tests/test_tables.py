@@ -81,13 +81,7 @@ ROW_READER_CASES = {
     "line beyond the field limit, cells within it":
         HEADER + "a,5\n" + "b" * 70_000 + ",3" + " " * 70_000 + "\n",
     "70K line crossing a block end": HEADER + "a,5\n" * 16_384 + "b,3" + " " * 70_000 + "\n",
-}
-
-# Inputs the columnar path must parse itself.
-COLUMNAR_CASES = {
-    "LF": HEADER + "a,10\nb,0\na,3\n",
-    "CRLF": "scientist,citations\r\na,5\r\nb,3\r\na,7\r\n",
-    "no trailing newline": HEADER + "a,5\nb,3",
+    # canonical text only takes the columnar path; the row reader owns the rest
     "blank line": HEADER + "a,5\n\nb,3\n",
     "blank CRLF line": "scientist,citations\r\na,5\r\n\r\nb,3\r\n",
     "whitespace-only line": HEADER + "a,5\n \t \nb,3\n",
@@ -95,12 +89,20 @@ COLUMNAR_CASES = {
     "trailing whitespace without newline": HEADER + "a,5\nb,3\n \x0c",
     "only blank lines after a row": HEADER + "a,5\n\n\n  \n",
     "padded labels and counts": HEADER + "  a ,5\na, 3 \n\tb\t,2\n\x0ca,1\n",
-    "header case and padding": " Scientist , CITATIONS \nA,1\n",
     "count syntax of int()": HEADER + "a,+5\na,1_000\na,３\na,007\na,-0\n",
     "non-ASCII labels": HEADER + "　é　,5\né,2\n\x85é,1\n",
     "largest key": HEADER + f"a,{2**62 - 1}\n",
-    "18-digit count": HEADER + f"a,{10**18 - 1}\na,5\n",
     "19-digit count below 2**63": HEADER + f"a,{10**18}\na,5\n",
+}
+
+# Inputs the columnar path must parse itself.
+COLUMNAR_CASES = {
+    "LF": HEADER + "a,10\nb,0\na,3\n",
+    "CRLF": "scientist,citations\r\na,5\r\nb,3\r\na,7\r\n",
+    "no trailing newline": HEADER + "a,5\nb,3",
+    "header case and padding": " Scientist , CITATIONS \nA,1\n",
+    "unpadded non-ASCII labels": HEADER + "é,5\nDoe J.,2\nx　y,1\né,3\n",
+    "18-digit count": HEADER + f"a,{10**18 - 1}\na,5\n",
     "leading zeros": HEADER + "a,007\nb,00\na,000000000000000012\n",
     "CRLF with multi-digit counts": "scientist,citations\r\na,12345\r\nb,678\r\na,90\r\n",
 }
@@ -210,26 +212,26 @@ class TestParseCitationsLongEquivalence:
         for i in sorted(rng.choice(len(lines), 50, replace=False), reverse=True):
             lines.insert(i, ["", "  ", "\t"][i % 3])
         text = HEADER + "\n".join(lines) + "\n\n"
-        assert tables._parse_long_columns(text) is not None
+        assert tables._parse_long_columns(text) is None
         assert _parsed(text) == oracle_parse_citations_long(text)
 
     def test_block_of_whitespace_only_lines(self, monkeypatch):
         monkeypatch.setattr(tables, "_BLOCK_CHARS", 8)
         text = HEADER + "a,5\n" + "   \n\t\n" * 8 + "b,3\n"
-        assert tables._parse_long_columns(text) is not None
+        assert tables._parse_long_columns(text) is None
         assert _parsed(text) == oracle_parse_citations_long(text)
         assert _same_table_both_ways(text)
 
     def test_byte_and_int_blocks_mixed(self, monkeypatch):
         monkeypatch.setattr(tables, "_BLOCK_CHARS", 8)
         text = HEADER + "a,5\nb,17\na,300\n" * 4 + "b,+5\na,1\n" + "b,42\n" * 3
-        assert tables._parse_long_columns(text) is not None
+        assert tables._parse_long_columns(text) is None
         assert _parsed(text) == oracle_parse_citations_long(text)
         assert _same_table_both_ways(text)
 
     def test_padded_label_first_keeps_its_place(self):
         text = HEADER + "b,9\n a,1\na,2\na ,3\n"
-        assert tables._parse_long_columns(text) is not None
+        assert tables._parse_long_columns(text) is None
         assert _parsed(text) == [("b", (9,)), ("a", (3, 2, 1))]
         assert _parsed(text) == oracle_parse_citations_long(text)
         assert _same_table_both_ways(text)
@@ -244,10 +246,13 @@ class TestParseCitationsLongEquivalence:
         ("a,３\n", None),
         ("a,\n", None),
         ("a,\r\n", None),
+        ("a,5\n\nb,3\n", None),
+        ("a,5,6\n", None),
     ])
     def test_counts_from_bytes(self, block, expected):
-        """Only blocks of 1 to 18 ASCII digits per count are read from bytes."""
-        counts = tables._digit_counts(*tables._comma_layout(block))
+        """Only blocks of one comma per line and 1 to 18 ASCII digits per
+        count are read from bytes."""
+        counts = tables._block_counts(block)
         assert (None if counts is None else counts.tolist()) == expected
 
     def test_text_file_stream(self, tmp_path):
@@ -437,8 +442,8 @@ class TestIndicatorTableParsing:
             parse_indicator_table(f"scientist,h,g\nA,39,67\nB,{cell},12\n")
 
     def test_duplicate_rows_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_indicator_table("scientist,h\nA,1\nA,2\n")
+        with pytest.raises(ParseError, match="^line 3: duplicate label 'A'$"):
+            parse_indicator_table("scientist,h\nA,1\nA ,2\n")
 
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: empty input"),
@@ -446,6 +451,9 @@ class TestIndicatorTableParsing:
         ("\nscientist,h\n", "line 1: expected a label column plus indicator columns"),
         ("scientist,h\n", "line 2: no data rows"),
         ("scientist,h\n\n  \n", "line 2: no data rows"),
+        ("scientist,h,h\nA,1,1\n", "line 1: duplicate column 'h'"),
+        ("scientist,h2,h(2)\nA,1,1\n", "line 1: duplicate column 'h2'"),
+        ("scientist,h\nA,1\n  ,2\n", "line 3: empty scientist label"),
     ])
     def test_input_errors(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
