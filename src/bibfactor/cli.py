@@ -135,8 +135,8 @@ def _load_table(args):
 
 def _model_input(args):
     """Columns, labels and transform of a describe/efa/cfa/bootstrap run."""
-    table = _load_table(args)
     variables = _resolve_vars(args.vars)
+    table = _load_table(args)
     values = np.column_stack([table.column(v) for v in variables])
     return values, variables, Transform(args.transform)
 

@@ -45,6 +45,8 @@ from .stats import Transform, constant_samples, transform_columns
 
 _EIGEN_SYMMETRY_TOL = 1e-10
 _RELATIVE_RANK_TOL = 1e-12
+_VARIMAX_TOL = 1e-8
+_VARIMAX_MAX_SWEEPS = 1000
 # resamples per stacked pass of bootstrap_efa; bounds its working memory
 _BOOTSTRAP_CHUNK = 128
 
@@ -491,10 +493,11 @@ def _turn_columns(stack, rows, j, k, planes):
     stack[rows, :, j], stack[rows, :, k] = turned[..., 0], turned[..., 1]
 
 
-def _varimax(values, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
+def _varimax(values, kaiser_normalize=True):
     """Varimax of a (B, p, m) stack of loadings by pairwise plane rotations.
 
-    Each matrix sweeps until its own criterion gains less than ``tol``.
+    Each matrix sweeps until its own criterion gains less than
+    ``_VARIMAX_TOL``, at most ``_VARIMAX_MAX_SWEEPS`` times.
     Plane angles, cosines and sines come from ``math`` on Python floats, one
     matrix at a time: ``np.arctan2`` and array squaring differ from them in
     the last bit on some inputs. Returns the canonical rotated loadings and
@@ -513,7 +516,7 @@ def _varimax(values, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
 
     criterion = _varimax_criterion(work)
     active = np.arange(B)
-    for _ in range(max_sweeps):
+    for _ in range(_VARIMAX_MAX_SWEEPS):
         for j, k in itertools.combinations(range(m), 2):
             x, y = work[active, :, j], work[active, :, k]
             u = x**2 - y**2
@@ -541,7 +544,7 @@ def _varimax(values, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
         updated = _varimax_criterion(work[active])
         gain = updated - criterion[active]
         criterion[active] = updated
-        active = active[~(gain < tol)]
+        active = active[~(gain < _VARIMAX_TOL)]
         if not active.size:
             break
 
@@ -551,7 +554,7 @@ def _varimax(values, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
     return canonical, _take_columns(rotation, order) * signs[..., None, :]
 
 
-def varimax(loadings, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
+def varimax(loadings, kaiser_normalize=True):
     """Varimax rotation by pairwise plane rotations.
 
     Parameters
@@ -569,9 +572,7 @@ def varimax(loadings, kaiser_normalize=True, tol=1e-8, max_sweeps=1000):
     """
     if loadings.rotation != "none":
         raise ValidationError("varimax expects unrotated loadings")
-    rotated, rotation = _varimax(
-        loadings.values[None], kaiser_normalize, tol, max_sweeps
-    )
+    rotated, rotation = _varimax(loadings.values[None], kaiser_normalize)
     tagged = LoadingMatrix(loadings.labels, rotated[0], rotation="varimax")
     return tagged, rotation[0]
 

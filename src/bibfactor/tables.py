@@ -50,10 +50,10 @@ class IndicatorTable:
                 f"values shape {self.values.shape} does not match "
                 f"{len(self.labels)} rows x {len(self.columns)} columns"
             )
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("row labels must be unique")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValidationError("column names must be unique")
+        for kind, names in (("label", self.labels), ("column", self.columns)):
+            if len(set(names)) != len(names):
+                repeat = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValidationError(f"duplicate {kind} {repeat!r}")
 
     @property
     def n_rows(self):

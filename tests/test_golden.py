@@ -1,7 +1,10 @@
-"""Golden outputs of the ingest and analysis commands.
+"""Golden outputs of the ingest, analysis and usage-error commands.
 
 Each command runs in-process through ``cli.main``; its stdout, stderr and
-exit code must match ``tests/golden`` byte for byte. The inputs are small
+exit code must match ``tests/golden`` byte for byte. ``cli.main`` prints
+every warning a command raises as a ``note:`` line, so a stderr golden also
+pins that no other warning, numpy's floating-point ones included, was
+raised, with or without pytest's warning capture. The inputs are small
 committed files, so no random stream decides what is compared.
 
 After an intended output change, regenerate the files with
@@ -47,6 +50,23 @@ COMMANDS.update({
     "error-efa-threshold-2": (["efa", "--fixture", "--threshold", "2"], 2),
     "error-cfa-threshold-1": (["cfa", "--fixture", "--threshold", "1"], 2),
     "error-describe-repeated-var": (["describe", "--fixture", "--vars", "h,h"], 2),
+    "error-describe-unknown-var": (["describe", "--fixture", "--vars", "h,q"], 2),
+    "error-describe-df-0": (["describe", "--fixture", "--df", "0"], 2),
+    "error-efa-factors-0": (["efa", "--fixture", "--factors", "0"], 2),
+    "error-efa-factors-7": (["efa", "--fixture", "--factors", "7"], 2),
+    "error-efa-empty-vars": (["efa", "--fixture", "--vars", ","], 2),
+    "error-cfa-threshold-negative": (["cfa", "--fixture", "--threshold", "-1"], 2),
+    "error-cfa-threshold-nan": (["cfa", "--fixture", "--threshold", "nan"], 2),
+    "error-bootstrap-repeated-var": (
+        ["bootstrap", "--fixture", "--vars", "h,h,m,g", "--B", "20"], 2),
+    "error-bootstrap-b-0": (["bootstrap", "--fixture", "--B", "0"], 2),
+    "error-bootstrap-negative-seed": (["bootstrap", "--fixture", "--seed", "-1", "--B", "5"], 2),
+    "error-verify-negative-tolerance": (["verify", "--tolerance-scale", "-1"], 2),
+    # --vars is checked before the input is read
+    "error-describe-repeated-var-bad-input": (
+        ["describe", *_input("lone_cr.csv"), "--vars", "h,h"], 2),
+    "error-bootstrap-unknown-var-bad-input": (
+        ["bootstrap", *_input("lone_cr.csv"), "--vars", "h,q", "--B", "5"], 2),
 })
 # text only: it prints rounded values, so it reads the same on every numpy build
 COMMANDS.update({
@@ -54,15 +74,23 @@ COMMANDS.update({
     "efa-fixture": (["efa", "--fixture"], 0),
     "efa-fixture-7nc-ln-promax": (
         ["efa", "--fixture", "--vars", "7+NC", "--transform", "ln", "--rotation", "promax"], 0),
+    "efa-fixture-7nc-promax": (["efa", "--fixture", "--vars", "7+NC", "--rotation", "promax"], 0),
     "efa-fixture-none-3": (["efa", "--fixture", "--rotation", "none", "--factors", "3"], 0),
     "efa-fixture-1-promax": (["efa", "--fixture", "--factors", "1", "--rotation", "promax"], 0),
     "describe-fixture": (["describe", "--fixture"], 0),
-    "describe-fixture-7nsc-ln1p": (
-        ["describe", "--fixture", "--vars", "7+NSC", "--transform", "ln1p"], 0),
+    **{f"describe-fixture-7nsc-{t}": (
+        ["describe", "--fixture", "--vars", "7+NSC", "--transform", t], 0)
+       for t in ("raw", "ln", "ln1p", "sqrt")},
     "cfa-fixture": (["cfa", "--fixture"], 0),
     "cfa-fixture-7-ln-06": (
         ["cfa", "--fixture", "--vars", "7", "--transform", "ln", "--threshold", "0.6"], 0),
     "bootstrap-fixture-b50": (["bootstrap", "--fixture", "--B", "50", "--seed", "1"], 0),
+    "bootstrap-fixture-b1000-7-raw-varimax": (
+        ["bootstrap", "--fixture", "--B", "1000", "--seed", "31",
+         "--vars", "7", "--transform", "raw", "--rotation", "varimax"], 0),
+    "bootstrap-fixture-b1000-7nc-ln-promax": (
+        ["bootstrap", "--fixture", "--B", "1000", "--seed", "31",
+         "--vars", "7+NC", "--transform", "ln", "--rotation", "promax"], 0),
 })
 
 

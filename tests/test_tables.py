@@ -479,6 +479,15 @@ class TestIndicatorTable:
         with pytest.raises(ValidationError):
             IndicatorTable(["a"], ["h", "g"], np.ones((1, 3)))
 
+    def test_repeated_column_is_named(self, fixture):
+        with pytest.raises(ValidationError, match=r"^duplicate column 'h'$"):
+            fixture.subset(("h", "h"))
+
+    def test_first_repeated_label_is_named(self):
+        # the reader's words: the first row whose label was seen before
+        with pytest.raises(ValidationError, match=r"^duplicate label 'a'$"):
+            IndicatorTable(["b", "a", "a", "b"], ["h"], np.ones((4, 1)))
+
 
 class TestFixture:
     def test_checksum_matches(self):
