@@ -12,10 +12,11 @@ tables for the embedded dataset; see ``ExtractionSettings``.
 
 Correlation, extraction, rotation and alignment each have one
 implementation: a private kernel over a stack of B matrices (leading axis).
-The public functions call it with a stack of one, the bootstrap with chunks
-of resamples. A kernel returns, per matrix, the error the public function
-raises for it (None when the matrix went through), so one failing matrix
-never stops the rest of its stack. Stacked matrices keep the memory layout
+The public functions call it with a stack of one, ``verify`` with the
+transforms of a variable set, the bootstrap with chunks of resamples. A
+kernel returns, per matrix, the error the public function raises for it
+(None when the matrix went through), so one failing matrix never stops the
+rest of its stack. Stacked matrices keep the memory layout
 a lone matrix has (loading and eigenvector matrices column-major), so every
 sum and BLAS call runs in the same order and a matrix gets the same result
 bit for bit in a stack of any size.
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
+    BibfactorError,
     ConvergenceError,
     DegenerateInputError,
     HeywoodWarning,
@@ -450,6 +452,12 @@ def _uls(values, eigenvalues, eigenvectors, settings):
     return canonical, np.minimum((canonical**2).sum(axis=-1), 1.0), clamped, errors
 
 
+def _check_n_factors(settings, p):
+    m = settings.n_factors
+    if not m < p:
+        raise ValidationError(f"need n_factors < p (got m={m}, p={p})")
+
+
 def uls_extract(corr, settings=ExtractionSettings()):
     """Unweighted least-squares extraction by iterated principal axes.
 
@@ -465,10 +473,7 @@ def uls_extract(corr, settings=ExtractionSettings()):
         Unrotated loadings (canonical column order/sign) and the final
         communalities (exactly the row sums of squares of the loadings).
     """
-    p = corr.p
-    m = settings.n_factors
-    if not m < p:
-        raise ValidationError(f"need n_factors < p (got m={m}, p={p})")
+    _check_n_factors(settings, corr.p)
     loadings, communalities, clamped, errors = _uls(
         corr.values[None], corr.eigenvalues[None], corr.eigenvectors[None],
         settings,
@@ -781,6 +786,10 @@ def efa_pipeline(
 ):
     """Transform columns, correlate, extract and rotate in one call.
 
+    Runs the steps of :func:`correlation_matrix`, :func:`uls_extract`,
+    :func:`varimax` and :func:`promax` as a stack of one table; ``verify``
+    stacks the four transforms of each variable set the same way.
+
     Parameters
     ----------
     table : array-like, shape (n, p)
@@ -807,27 +816,69 @@ def efa_pipeline(
         raise ValidationError(f"unknown rotation {rotation!r}")
     x = np.asarray(table, dtype=float)
     xt = np.column_stack(list(transform_columns(x, variables, transform)))
-    corr = correlation_matrix(xt, variables)
-    unrotated, communalities = uls_extract(corr, settings)
+    (result,) = _pipelines([xt], variables, settings, rotation, kappa)
+    return result
 
-    rotated, structure, phi = unrotated, None, None
-    if rotation != "none":
-        rotated, _ = varimax(unrotated)
-    if rotation == "promax":
-        solution = promax(rotated, kappa=kappa)
-        rotated, structure, phi = solution.pattern, solution.structure, solution.phi
-    ss = ((rotated.values if structure is None else structure) ** 2).sum(axis=0)
 
-    return EFAResult(
-        correlation=corr,
-        unrotated=unrotated,
-        rotated=rotated,
-        communalities=communalities,
-        ss_loadings=ss,
-        variance_explained=ss / corr.p,
-        structure=structure,
-        phi=phi,
-    )
+def _pipelines(tables, labels, settings, rotation, kappa):
+    """The :class:`EFAResult` of each (n, p) table of the iterable ``tables``.
+
+    Equal to ``[efa_pipeline(x, labels, Transform.IDENTITY, settings,
+    rotation, kappa) for x in tables]`` bit for bit, but extraction and
+    varimax run once, on the stack of all the correlation matrices. The
+    warnings and the error are that loop's as well: each clamped extraction
+    warns once, in table order, and the first table that fails raises what
+    its pipeline would raise. An error raised by iterating ``tables`` (a
+    table transformed lazily, say) counts as a failure of the table it was
+    producing.
+    """
+    labels = tuple(labels)
+    corrs, pending = [], None
+    try:
+        for x in tables:
+            corr = correlation_matrix(x, labels)
+            _check_n_factors(settings, corr.p)
+            corrs.append(corr)
+    except (BibfactorError, np.linalg.LinAlgError) as exc:
+        pending = exc
+    if corrs:
+        loadings, communalities, clamped, errors = _uls(
+            np.stack([c.values for c in corrs]),
+            np.stack([c.eigenvalues for c in corrs]),
+            # column-major eigenvectors, as the kernels keep them
+            _swap(np.stack([_swap(c.eigenvectors) for c in corrs])),
+            settings,
+        )
+        # tables after the first failed extraction are never rotated
+        last = next((i for i, e in enumerate(errors) if e is not None), len(corrs))
+        if rotation != "none":
+            turned, _ = _varimax(loadings[:last])
+    results = []
+    for i, corr in enumerate(corrs):
+        _warn_clamped(int(clamped[i]))
+        if errors[i] is not None:
+            raise errors[i]
+        unrotated = LoadingMatrix(labels, loadings[i], rotation="none")
+        rotated, structure, phi = unrotated, None, None
+        if rotation != "none":
+            rotated = LoadingMatrix(labels, turned[i], rotation="varimax")
+        if rotation == "promax":
+            solution = promax(rotated, kappa=kappa)
+            rotated, structure, phi = solution.pattern, solution.structure, solution.phi
+        ss = ((rotated.values if structure is None else structure) ** 2).sum(axis=0)
+        results.append(EFAResult(
+            correlation=corr,
+            unrotated=unrotated,
+            rotated=rotated,
+            communalities=communalities[i],
+            ss_loadings=ss,
+            variance_explained=ss / corr.p,
+            structure=structure,
+            phi=phi,
+        ))
+    if pending is not None:
+        raise pending
+    return results
 
 
 @dataclass(frozen=True)

@@ -163,11 +163,10 @@ _STUDENT_DF_GRID = np.exp(np.linspace(math.log(1.0), math.log(1000.0), 200))
 _MIN_SCALE_FRACTION = 0.25
 _EM_TOL = 1e-10
 _EM_MAX_ITER = 500
-# candidates per EM block: max(1, _EM_BLOCK_CELLS // n), so that its work
-# arrays stay cache-sized, and at most _EM_BLOCK_ROWS, which bounds them for
-# a stack of small samples as well
+# candidates per EM block: max(1, _EM_BLOCK_CELLS // n), so that each of its
+# three work arrays holds at most 65,536 cells (512 KB), or one sample when
+# that is longer, however many samples are stacked
 _EM_BLOCK_CELLS = 65536
-_EM_BLOCK_ROWS = 512
 
 
 def constant_samples(x, axis=None):
@@ -264,7 +263,7 @@ def _student_ml_stack(stack, sd):
     mu = np.repeat(np.median(stack, axis=1), grid)
     sigma = np.repeat(sd, grid)
     loglik = np.empty(df.size)
-    rows = min(df.size, _EM_BLOCK_ROWS, max(1, _EM_BLOCK_CELLS // n))
+    rows = min(df.size, max(1, _EM_BLOCK_CELLS // n))
     x_buf, w_buf, t_buf = np.empty((3, rows, n))
     for start in range(0, df.size, rows):
         block = slice(start, start + rows)
@@ -308,10 +307,10 @@ def fit_student_ml(values):
     the rest wins.
 
     This is the one-sample case of a stacked EM: :func:`column_summaries`
-    runs the 200 candidates of every column of a table as the rows of one
+    runs the 200 candidates of every column it is given as the rows of one
     array, each row with its own stop. Rows run in blocks of
-    min(512, max(1, 65536 // n)), which may cross columns; that keeps the
-    work arrays cache-sized and does not change any fit.
+    max(1, 65536 // n), which may cross columns; that bounds the work arrays
+    and does not change any fit.
     """
     (fit,) = _student_fits([_sample(values)])
     if fit is None:

@@ -19,15 +19,15 @@ from . import fixture as fx
 from .efa import (
     ExtractionSettings,
     LoadingMatrix,
+    _pipelines,
     align_loadings,
     bartlett,
     categorize,
-    efa_pipeline,
     kmo,
     promax,
 )
 from .errors import ValidationError
-from .stats import Transform, apply_transform, column_summaries
+from .stats import Transform, apply_transform, column_summaries, transform_columns
 from .tables import VARIABLE_SETS
 
 
@@ -132,16 +132,19 @@ _STUDENT_P_NOTE = "Student p reported only; the published fitting rule is recons
 
 
 def _check_descriptives(report, table, scale):
-    for table_id, spec in fx.DESCRIPTIVE_TABLES.items():
-        transform = Transform(spec["transform"])
-        rows = column_summaries([apply_transform(table.column(v), transform)
-                                 for v in spec["rows"]])
-        for (variable, expected), row in zip(spec["rows"].items(), rows):
-            for (name, tol_key), e in zip(_DESCRIPTIVE_TOLERANCES.items(), expected):
-                note = (_STUDENT_P_NOTE if name == "p_student" else
-                        fx.KNOWN_INCONSISTENT_CELLS.get((table_id, variable, name), ""))
-                _num(report, table_id, f"{variable} {name}", e, row[name],
-                     fx.TOLERANCES[tol_key] * scale, binding=not note, note=note)
+    # one stacked EM for the columns of every table, transformed lazily in
+    # check order, so the first failing column still decides the error
+    specs = fx.DESCRIPTIVE_TABLES.items()
+    rows = column_summaries(apply_transform(table.column(v), Transform(spec["transform"]))
+                            for _, spec in specs for v in spec["rows"])
+    cells = ((table_id, variable, expected)
+             for table_id, spec in specs for variable, expected in spec["rows"].items())
+    for (table_id, variable, expected), row in zip(cells, rows):
+        for (name, tol_key), e in zip(_DESCRIPTIVE_TOLERANCES.items(), expected):
+            note = (_STUDENT_P_NOTE if name == "p_student" else
+                    fx.KNOWN_INCONSISTENT_CELLS.get((table_id, variable, name), ""))
+            _num(report, table_id, f"{variable} {name}", e, row[name],
+                 fx.TOLERANCES[tol_key] * scale, binding=not note, note=note)
 
 
 def _check_adequacy(report, table, scale, results):
@@ -263,6 +266,11 @@ def _check_cfa(report, table, scale, results):
 def run_verification(tolerance_scale=1.0, fixture_table=None):
     """Recompute every published expected value and compare within tolerance.
 
+    The varimax pipelines of each variable set run as one stack over its
+    transforms, and the Student-t fits of all 21 descriptive columns as one
+    EM. Results, warnings and errors are those of one pipeline per (variable
+    set, transform) and one EM per table, run in table order.
+
     Parameters
     ----------
     tolerance_scale : float
@@ -285,16 +293,18 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
     report = VerifyReport()
 
     # one varimax pipeline per (variable set, transform) of the published
-    # tables; every other check reads its correlation or loadings
+    # tables, the transforms of a set as one stack; every other check reads
+    # their correlations or loadings
     settings = ExtractionSettings()
     results = {}
     for spec in fx.VARIMAX_TABLES.values():
         variables = spec["variables"]
         values = np.column_stack([table.column(v) for v in variables])
-        for key in spec["loadings"]:
-            results[(variables, key)] = efa_pipeline(
-                values, variables, Transform(key), settings, "varimax"
-            )
+        tables = (np.column_stack(list(transform_columns(values, variables, Transform(key))))
+                  for key in spec["loadings"])
+        stack = _pipelines(tables, variables, settings, "varimax", kappa=3)
+        results.update(((variables, key), result)
+                       for key, result in zip(spec["loadings"], stack))
 
     _check_consistency(report, table, scale)
     _check_descriptives(report, table, scale)

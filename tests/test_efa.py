@@ -6,6 +6,7 @@ import pytest
 
 from bibfactor import (
     AsymmetricMatrixError,
+    BibfactorError,
     ConvergenceError,
     CorrelationMatrix,
     DegenerateInputError,
@@ -31,7 +32,13 @@ from bibfactor import (
     varimax,
 )
 from bibfactor import stats
-from bibfactor.efa import _checked_correlations, _guarded, _sorted_eigh, _varimax_criterion
+from bibfactor.efa import (
+    _checked_correlations,
+    _guarded,
+    _pipelines,
+    _sorted_eigh,
+    _varimax_criterion,
+)
 from bibfactor.stats import apply_transform
 from bibfactor.tables import VARIABLE_SETS
 from oracles import oracle_bootstrap_efa, oracle_efa_loadings
@@ -481,6 +488,48 @@ class TestPipeline:
         sub = fixture.subset(("h", "m", "g"))
         with pytest.raises(ValidationError):
             efa_pipeline(sub.values, sub.columns, rotation="oblimin")
+
+    @pytest.mark.parametrize("changes, settings, rotation, kappa", [
+        ({}, ExtractionSettings(), "promax", 3),
+        ({}, ExtractionSettings(), "none", 3),
+        # raw fails to converge before ln meets the zero
+        ({("m", 2): 0.0}, ExtractionSettings(max_iter=2), "varimax", 3),
+        # raw and ln1p clamp and warn before ln meets the zero
+        ({("m", 2): 0.0}, ExtractionSettings(), "varimax", 3),
+        ({("h", None): 5.0}, ExtractionSettings(n_factors=9), "varimax", 3),
+        ({}, ExtractionSettings(n_factors=9), "varimax", 3),
+        # promax refuses kappa 0 after the raw extraction warned
+        ({}, ExtractionSettings(), "promax", 0),
+    ], ids=["promax", "none", "convergence", "transform", "constant", "factors", "kappa"])
+    def test_stack_equals_one_pipeline_per_table(self, fixture, changes, settings,
+                                                 rotation, kappa):
+        # ln1p sits before ln, so a clamp is warned ahead of the ln error
+        keys = ("raw", "ln1p", "ln", "sqrt")
+        sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw", "N", "C"))
+        values = sub.values.copy()
+        for (column, row), value in changes.items():
+            values[slice(None) if row is None else row, sub.columns.index(column)] = value
+
+        def outcome(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = [(r.unrotated.values.tobytes(), r.rotated.values.tobytes(),
+                            r.ss_loadings.tobytes()) for r in run()]
+                except BibfactorError as exc:
+                    got = (type(exc), str(exc))
+            return got, [(w.category, str(w.message)) for w in caught]
+
+        loop = outcome(lambda: [
+            efa_pipeline(values, sub.columns, Transform(k), settings, rotation, kappa)
+            for k in keys
+        ])
+        stack = outcome(lambda: _pipelines(
+            (np.column_stack(list(stats.transform_columns(values, sub.columns, Transform(k))))
+             for k in keys),
+            sub.columns, settings, rotation, kappa,
+        ))
+        assert stack == loop
 
 
 class TestBootstrap:

@@ -288,17 +288,20 @@ class TestStackedStudentFits:
         want = [oracle_student_ml(x) for columns in tables for x in columns]
         per_table = [fit for columns in tables for fit in _stacked_fits(columns)]
         assert per_table == want
-        # 21 * 200 candidates in blocks of 512, most of which cross columns
+        # 21 * 200 candidates in two blocks of 65,536 // 26 = 2,520 rows, as
+        # verify runs them: the first block ends inside column 13
         assert _stacked_fits([x for columns in tables for x in columns]) == want
 
     @pytest.mark.parametrize("n", [26, 327, 328, 1337, 2000])
     def test_t_draws_across_column_boundaries(self, n):
-        # blocks of 512, 200, 199, 49 and 32 candidates: at n = 327 they
+        # blocks of 65,536 // n = 2,520, 200, 199, 49 and 32 candidates; the
+        # 13 columns make at least two blocks at every n. At n = 327 they
         # align with the columns, elsewhere they cross them, and the last
         # block is a short one
         rng = np.random.default_rng(n)
         columns = [rng.standard_t(df=rng.uniform(1.0, 30.0), size=n) * rng.uniform(0.1, 10.0)
-                   for _ in range(10)]
+                   for _ in range(13)]
+        assert 13 * 200 > stats._EM_BLOCK_CELLS // n
         assert _stacked_fits(columns) == [oracle_student_ml(x) for x in columns]
 
     def test_tied_column_rejects_collapsed_candidates(self):
