@@ -83,15 +83,20 @@ def _add_model_options(parser, factors=True):
                         help="variable set: 7, 7+NS, 7+NC, 7+NSC or a "
                              "comma-separated list (default: %(default)s)")
     parser.add_argument("--transform", choices=["raw", "ln", "ln1p", "sqrt"],
-                        default="raw")
+                        default="raw",
+                        help="transform applied to every variable "
+                             "(default: %(default)s)")
     if factors:
-        parser.add_argument("--factors", type=int, default=2)
+        parser.add_argument("--factors", type=int, default=2,
+                            help="factors to extract (default: %(default)s)")
 
 
 def _add_rotation_options(parser):
     parser.add_argument("--rotation", choices=["none", "varimax", "promax"],
-                        default="varimax")
-    parser.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3)
+                        default="varimax",
+                        help="factor rotation (default: %(default)s)")
+    parser.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3,
+                        help="promax exponent (default: %(default)s)")
 
 
 def _resolve_vars(spec_text):
@@ -400,8 +405,10 @@ def build_parser():
     _add_input_options(p)
     _add_model_options(p)
     _add_rotation_options(p)
-    p.add_argument("--B", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--B", type=int, default=1000,
+                   help="bootstrap resamples (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the row resampling (default: %(default)s)")
     _add_output_options(p, formats=("json",))
     p.set_defaults(func=_cmd_bootstrap)
 

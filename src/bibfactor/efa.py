@@ -13,13 +13,13 @@ tables for the embedded dataset; see ``ExtractionSettings``.
 Correlation, extraction, rotation and alignment each have one
 implementation: a private kernel over a stack of B matrices (leading axis).
 The public functions call it with a stack of one, ``verify`` with the
-transforms of a variable set, the bootstrap with chunks of resamples. A
-kernel returns, per matrix, the error the public function raises for it
-(None when the matrix went through), so one failing matrix never stops the
-rest of its stack. Stacked matrices keep the memory layout
-a lone matrix has (loading and eigenvector matrices column-major), so every
-sum and BLAS call runs in the same order and a matrix gets the same result
-bit for bit in a stack of any size.
+transforms of a variable set, the bootstrap with stacks of resamples sized
+by one cell budget, ``_BOOTSTRAP_CELLS``. A kernel returns, per matrix,
+the error the public function raises for it (None when the matrix went
+through), so one failing matrix never stops the rest of its stack. Stacked
+matrices keep the memory layout a lone matrix has (loading and eigenvector
+matrices column-major), so every sum and BLAS call runs in the same order
+and a matrix gets the same result bit for bit in a stack of any size.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ _EIGEN_SYMMETRY_TOL = 1e-10
 _RELATIVE_RANK_TOL = 1e-12
 _VARIMAX_TOL = 1e-8
 _VARIMAX_MAX_SWEEPS = 1000
-# resamples per stacked pass of bootstrap_efa; bounds its working memory
-_BOOTSTRAP_CHUNK = 128
+# float64 cells per stack of bootstrap_efa, which bounds its working memory:
+# resampled (n, p) tables are correlated cells // (n p) at a time, and the
+# p x p chain runs on stacks of cells // (p p) correlation matrices
+_BOOTSTRAP_CELLS = 32_768
 
 
 def _swap(a):
@@ -129,11 +131,16 @@ def symmetric_eigen(matrix):
 
 
 def _sorted_eigh(m):
-    # For stacks (..., k, k) this module built itself: symmetric by
-    # construction, so only the rounding-level asymmetry is averaged away,
-    # without a check.
-    values, vectors = np.linalg.eigh((m + _swap(m)) / 2.0)
-    order = np.argsort(values, axis=-1)[..., ::-1]
+    # For stacks (..., k, k) this module built itself that may be asymmetric
+    # at rounding level (a matmul's gram matrix): that asymmetry is averaged
+    # away, without a check.
+    return _top_eigh((m + _swap(m)) / 2.0)
+
+
+def _top_eigh(m, k=None):
+    """The top k (default all) eigenpairs of an exactly symmetric stack."""
+    values, vectors = np.linalg.eigh(m)
+    order = np.argsort(values, axis=-1)[..., ::-1][..., :k]
     return values[_per_matrix(order)], _take_columns(vectors, order)
 
 
@@ -150,8 +157,8 @@ def _checked_correlations(v):
     """The checks of :class:`CorrelationMatrix` on a (..., p, p) stack.
 
     Returns the symmetrized matrices clipped into [-1, 1] with a unit
-    diagonal, their descending eigendecompositions, and per matrix the
-    error it fails with (or None).
+    diagonal, written over ``v``, their descending eigendecompositions, and
+    per matrix the error it fails with (or None).
     """
     errors = _no_errors(v.shape[:-2])
     finite = np.isfinite(v).all(axis=(-2, -1))
@@ -159,20 +166,25 @@ def _checked_correlations(v):
           lambda i: ValidationError("correlation matrix has non-finite entries"))
     # a non-finite matrix goes on as the identity, so the steps below raise
     # no floating-point warning and cannot stop the rest of the stack
-    v = np.where(finite[..., None, None], v, np.eye(v.shape[-1]))
-    asym = np.abs(v - _swap(v)).max(axis=(-2, -1), initial=0.0)
+    np.copyto(v, np.eye(v.shape[-1]), where=~finite[..., None, None])
+    # one scratch stack holds each temporary in turn
+    work = np.subtract(v, _swap(v))
+    asym = np.abs(work, out=work).max(axis=(-2, -1), initial=0.0)
     _fail(errors, asym > 1e-8,
           lambda i: ValidationError("correlation matrix is not symmetric"))
-    v = (v + _swap(v)) / 2.0
+    # the commutative add leaves every matrix exactly symmetric
+    np.divide(np.add(v, _swap(v), out=work), 2.0, out=v)
     diagonal = np.diagonal(v, axis1=-2, axis2=-1)
     _fail(errors, np.abs(diagonal - 1.0).max(axis=-1, initial=0.0) > 1e-8,
           lambda i: ValidationError("correlation matrix diagonal must be 1"))
-    _fail(errors, np.abs(v).max(axis=(-2, -1), initial=0.0) > 1.0 + 1e-8,
+    outside = np.abs(v, out=work).max(axis=(-2, -1), initial=0.0) > 1.0 + 1e-8
+    _fail(errors, outside,
           lambda i: ValidationError("correlation entries must lie in [-1, 1]"))
-    v = np.clip(v, -1.0, 1.0)
+    del work
+    np.clip(v, -1.0, 1.0, out=v)
     d = np.arange(v.shape[-1])
     v[..., d, d] = 1.0
-    (eigenvalues, eigenvectors), failed = _guarded(_sorted_eigh, v)
+    (eigenvalues, eigenvectors), failed = _guarded(_top_eigh, v)
     _fail(errors, np.not_equal(failed, None), lambda i: failed[i])
     _fail(
         errors, eigenvalues.min(axis=-1, initial=0.0) < -1e-8,
@@ -200,7 +212,8 @@ class CorrelationMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # a copy: the checks write over it
+        v = np.array(self.values, dtype=float)
         p = len(self.labels)
         if v.shape != (p, p):
             raise ValidationError(
@@ -413,9 +426,10 @@ def _uls(values, eigenvalues, eigenvectors, settings):
             # unit communalities leave R itself as the reduced matrix
             w, vectors = eigenvalues, eigenvectors
         else:
+            # exactly symmetric, as R is: only the diagonal changes
             reduced = values[active]
             reduced[:, diagonal, diagonal] = current
-            (w, vectors), failed = _guarded(_sorted_eigh, reduced)
+            (w, vectors), failed = _guarded(lambda s: _top_eigh(s, m), reduced)
             ok = np.equal(failed, None)
             if not ok.all():
                 errors[active] = failed
@@ -998,27 +1012,27 @@ class BootstrapResult:
         }
 
 
-def _resample_loadings(x, labels, settings, rotation, kappa, reference):
-    """Aligned rotated loadings of each table in a (B, n, p) stack.
+def _chain(r, stage, settings, rotation, kappa):
+    """Checks, extraction and rotation of a (k, p, p) stack of correlations.
 
-    Runs the steps of :func:`efa_pipeline` on the whole stack; a table that
-    fails a step is left out of the later ones. Returns the loadings of the
-    tables that went through, in stack order, per table its error (None
-    when it went through), and the mask of tables whose extraction clamped
-    a communality.
+    ``stage`` holds per matrix the error of the step that built it (None
+    when it went through). A matrix with an error or failing a step is
+    left out of the later ones. Returns the rotated loadings of the
+    matrices that went through, in stack order, per matrix its error (or
+    None), and the mask of clamped extractions.
     """
-    errors = _no_errors(len(x))
-    clamped = np.zeros(len(x), dtype=bool)
-    alive = np.arange(len(x))
+    alive = np.arange(len(r))
+    errors, clamped = _no_errors(len(r)), np.zeros(len(r), dtype=bool)
 
     def survivors(stage_errors, *stacks):
         nonlocal alive
         errors[alive] = stage_errors
         ok = np.equal(stage_errors, None)
+        if ok.all():
+            return stacks
         alive = alive[ok]
         return [stack[ok] for stack in stacks]
 
-    r, stage = _correlations(x, labels)
     *corr, stage = _checked_correlations(*survivors(stage, r))
     corr = survivors(stage, *corr)
     loadings, _, stage_clamped, stage = _uls(*corr, settings)
@@ -1029,7 +1043,20 @@ def _resample_loadings(x, labels, settings, rotation, kappa, reference):
     if rotation == "promax":
         loadings, _, stage = _promax(loadings, kappa)
         (loadings,) = survivors(stage, loadings)
-    return _align(loadings, reference), errors, clamped
+    return loadings, errors, clamped
+
+
+def _resample_correlations(xt, indices, labels):
+    """What :func:`_correlations` returns for the resamples
+    ``xt[indices[b]]``, built at most ``_BOOTSTRAP_CELLS // (n p)`` tables
+    at a time."""
+    k, (n, p) = len(indices), xt.shape
+    size = max(1, _BOOTSTRAP_CELLS // (n * p))
+    r, stage = np.empty((k, p, p)), _no_errors(k)
+    for start in range(0, k, size):
+        part = slice(start, start + size)
+        r[part], stage[part] = _correlations(xt[indices[part]], labels)
+    return r, stage
 
 
 def bootstrap_efa(
@@ -1056,7 +1083,10 @@ def bootstrap_efa(
     before any resample runs, as :func:`bartlett` does in ``efa``.
 
     The table is transformed once, and the resamples run through the
-    stacked kernels in chunks of 128, which bounds the working memory.
+    stacked kernels on stacks of at most ``_BOOTSTRAP_CELLS`` float64
+    cells, which bounds the working memory: (n, p) tables
+    ``_BOOTSTRAP_CELLS // (n p)`` at a time, p x p matrices
+    ``_BOOTSTRAP_CELLS // (p p)`` at a time.
     Every resample runs exactly the iterates it would run alone through
     :func:`efa_pipeline`, so the result equals that per-resample
     definition bit for bit.
@@ -1095,13 +1125,14 @@ def bootstrap_efa(
     labels = tuple(variables)
     xt = np.column_stack(list(transform_columns(x, labels, transform)))
     reference = efa_pipeline(xt, labels, Transform.IDENTITY, settings, rotation, kappa)
-    chunks = [
-        _resample_loadings(
-            xt[indices[start:start + _BOOTSTRAP_CHUNK]], labels, settings,
-            rotation, kappa, reference.rotated.values,
+    size = max(1, _BOOTSTRAP_CELLS // len(labels) ** 2)
+    chunks = []
+    for start in range(0, n_boot, size):
+        loadings, errors, clamped = _chain(
+            *_resample_correlations(xt, indices[start:start + size], labels),
+            settings, rotation, kappa,
         )
-        for start in range(0, n_boot, _BOOTSTRAP_CHUNK)
-    ]
+        chunks.append((_align(loadings, reference.rotated.values), errors, clamped))
     draws, errors, clamped = (np.concatenate(part) for part in zip(*chunks))
     n_clamped = int(clamped.sum())
     _warn_clamped(n_clamped)

@@ -683,6 +683,21 @@ class TestBootstrapCommand:
         assert code == 2
         assert out == "" and "seed must be non-negative" in err
 
+    @pytest.mark.parametrize("command", ["efa", "bootstrap"])
+    def test_help_states_each_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = {"--transform": "raw", "--factors": "2", "--rotation": "varimax",
+                    "--kappa": "3", "--B": "1000", "--seed": "0"}
+        for option, default in defaults.items():
+            if command == "efa" and option in ("--B", "--seed"):
+                continue
+            # the option's entry runs up to the next option
+            entry = text.split(f" {option} ", 1)[1].split(" --", 1)[0]
+            assert entry.endswith(f"(default: {default})"), (option, entry)
+
 
 class TestVerifyCommand:
     def test_passes_on_unmodified_build(self, capsys):

@@ -31,7 +31,7 @@ from bibfactor import (
     uls_extract,
     varimax,
 )
-from bibfactor import stats
+from bibfactor import efa, stats
 from bibfactor.efa import (
     _checked_correlations,
     _guarded,
@@ -39,6 +39,7 @@ from bibfactor.efa import (
     _sorted_eigh,
     _varimax_criterion,
 )
+from bibfactor.fixture import VARIMAX_TABLES
 from bibfactor.stats import apply_transform
 from bibfactor.tables import VARIABLE_SETS
 from oracles import oracle_bootstrap_efa, oracle_efa_loadings
@@ -704,9 +705,53 @@ class TestStackedBootstrapEquivalence:
     ):
         assert_matches_oracle(fixture, variables, transform, rotation, 100)
 
-    @pytest.mark.parametrize("n_boot", [127, 128, 129])
-    def test_chunk_boundaries(self, fixture, n_boot):
-        assert_matches_oracle(fixture, "7+NC", "ln", "promax", n_boot)
+    @pytest.mark.parametrize("stage, offset", [
+        pytest.param(stage, offset, id=f"{stage}{offset:+d}")
+        for stage in ("tables", "matrices") for offset in (-1, 0, 1)
+    ])
+    def test_chunk_boundaries(self, fixture, stage, offset):
+        # B one short of, equal to and one past a full stack of each stage
+        n, p = fixture.n_rows, len(BOOTSTRAP_VARIABLES["7+NC"])
+        size = efa._BOOTSTRAP_CELLS // {"tables": n * p, "matrices": p * p}[stage]
+        assert_matches_oracle(fixture, "7+NC", "ln", "promax", size + offset)
+
+    def test_failures_across_many_small_stacks(self, fixture, monkeypatch):
+        # 1 table and 3 matrices per stack; the degenerate resample sits in
+        # the 14th chain stack, non-converged ones in others
+        n, p = fixture.n_rows, len(BOOTSTRAP_VARIABLES["7+NSC"])
+        monkeypatch.setattr(efa, "_BOOTSTRAP_CELLS", 3 * p * p)
+        assert (efa._BOOTSTRAP_CELLS // (n * p), efa._BOOTSTRAP_CELLS // (p * p)) == (1, 3)
+        indices = np.random.default_rng(31).integers(0, n, size=(50, n))
+        indices[40] = 3
+        result = assert_matches_oracle(
+            fixture, "7+NSC", "ln", "promax", 50, indices=indices,
+            settings=ExtractionSettings(max_iter=8),
+        )
+        assert result.failures["ZeroVarianceError"] == 1
+        assert result.failures["ConvergenceError"] > 0
+        assert result.n_clamped > 0
+
+    def test_stacks_stay_within_the_cell_budget(self, fixture, monkeypatch):
+        # the memory bound, pinned by the stacks the kernels are handed
+        rows = {"_correlations": [], "_checked_correlations": [], "_uls": []}
+        for name, calls in rows.items():
+            def spy(stack, *args, kernel=getattr(efa, name), calls=calls):
+                # a lone CorrelationMatrix is checked as a (p, p) matrix
+                calls.append(len(stack) if stack.ndim == 3 else 1)
+                return kernel(stack, *args)
+            monkeypatch.setattr(efa, name, spy)
+        sub = fixture.subset(BOOTSTRAP_VARIABLES["7+NC"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeywoodWarning)
+            bootstrap_efa(sub.values, sub.columns, Transform.LOG, rotation="promax",
+                          n_boot=1000, seed=31)
+        n, p, cells = sub.n_rows, len(sub.columns), efa._BOOTSTRAP_CELLS
+        assert max(rows["_correlations"]) * n * p <= cells
+        assert max(rows["_checked_correlations"] + rows["_uls"]) * p * p <= cells
+        assert max(max(calls) for calls in rows.values()) < 1000
+        # the budget is used: the first stack of each stage is full
+        assert max(rows["_correlations"]) == cells // (n * p)
+        assert max(rows["_uls"]) == cells // (p * p)
 
     def test_degenerate_resample_inside_a_chunk(self, fixture):
         n = fixture.n_rows
@@ -723,6 +768,39 @@ class TestStackedBootstrapEquivalence:
             settings=ExtractionSettings(max_iter=8),
         )
         assert result.failures["ConvergenceError"] == result.n_failed > 0
+
+
+def test_unaveraged_top_eigenpairs_equal_sorted_eigh(fixture, monkeypatch):
+    # every stack decomposed without the (M + M')/2 average, the reduced
+    # matrices of the extraction included, is exactly symmetric, and its
+    # top k eigenpairs are those of the averaged decomposition, bit for bit
+    calls = []
+
+    def spy(m, k=None, kernel=efa._top_eigh):
+        calls.append((np.array(m), k))
+        return kernel(m, k)
+
+    monkeypatch.setattr(efa, "_top_eigh", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeywoodWarning)
+        for spec in VARIMAX_TABLES.values():
+            sub = fixture.subset(spec["variables"])
+            _pipelines(
+                (np.column_stack(list(stats.transform_columns(
+                    sub.values, sub.columns, Transform(key))))
+                 for key in spec["loadings"]),
+                sub.columns, ExtractionSettings(), "varimax", 3,
+            )
+        sub = fixture.subset(BOOTSTRAP_VARIABLES["7+NC"])
+        bootstrap_efa(sub.values, sub.columns, Transform.LOG, n_boot=200, seed=5)
+    monkeypatch.undo()
+    assert sum(m.shape[0] for m, k in calls if k == 2 and m.ndim == 3) > 200
+    for m, k in calls:
+        assert m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
+        values, vectors = efa._top_eigh(m, k)
+        want_values, want_vectors = _sorted_eigh(m)
+        assert values.tobytes() == want_values[..., :k].tobytes()
+        assert vectors.tobytes() == want_vectors[..., :k].tobytes()
 
 
 class TestGuardedStack:
