@@ -16,7 +16,10 @@ The public functions call it with a stack of one, ``verify`` with the
 transforms of a variable set, the bootstrap with stacks of resamples sized
 by one cell budget, ``_BOOTSTRAP_CELLS``. A kernel returns, per matrix,
 the error the public function raises for it (None when the matrix went
-through), so one failing matrix never stops the rest of its stack. Stacked
+through), so one failing matrix never stops the rest of its stack. On a
+stack, extraction and rotation run through one chain, ``_chain``, which
+serves both failure policies: ``efa_pipeline`` and ``verify`` raise the
+first error in stack order, the bootstrap drops and counts failures. Stacked
 matrices keep the memory layout a lone matrix has (loading and eigenvector
 matrices column-major), so every sum and BLAS call runs in the same order
 and a matrix gets the same result bit for bit in a stack of any size.
@@ -609,11 +612,15 @@ def _promax(values, kappa):
     """Promax of a (B, p, m) stack of varimax loadings.
 
     Returns the pattern loadings (B, p, m), the factor correlations
-    (B, m, m) and per matrix a SingularMatrixError or LinAlgError (or None).
+    (B, m, m) and per matrix a SingularMatrixError or LinAlgError (or None);
+    a ``kappa`` below 1 fails every matrix with a ValidationError.
     Rank-deficient matrices are screened out before any inverse.
     """
     B, p, m = values.shape
     errors = _no_errors(B)
+    if kappa < 1:
+        errors[:] = [ValidationError("kappa must be a positive exponent") for _ in errors]
+        return np.zeros_like(values), np.zeros((B, m, m)), errors
     if m == 1:
         return np.array(values), np.ones((B, 1, 1)), errors
 
@@ -670,8 +677,6 @@ def promax(varimax_loadings, kappa=3):
     """
     if varimax_loadings.rotation != "varimax":
         raise ValidationError("promax expects a varimax-rotated loading matrix")
-    if kappa < 1:
-        raise ValidationError("kappa must be a positive exponent")
     pattern, phi, errors = _promax(varimax_loadings.values[None], kappa)
     if errors[0] is not None:
         raise errors[0]
@@ -839,12 +844,12 @@ def _pipelines(tables, labels, settings, rotation, kappa):
 
     Equal to ``[efa_pipeline(x, labels, Transform.IDENTITY, settings,
     rotation, kappa) for x in tables]`` bit for bit, but extraction and
-    varimax run once, on the stack of all the correlation matrices. The
-    warnings and the error are that loop's as well: each clamped extraction
-    warns once, in table order, and the first table that fails raises what
-    its pipeline would raise. An error raised by iterating ``tables`` (a
-    table transformed lazily, say) counts as a failure of the table it was
-    producing.
+    rotation run once, through :func:`_chain` on the stack of all the
+    correlation matrices, with the chain's raising policy: each clamped
+    extraction warns once, in table order, and the first table that fails
+    raises what its pipeline would raise. An error raised by iterating
+    ``tables`` (a table transformed lazily, say) counts as a failure of the
+    table it was producing.
     """
     labels = tuple(labels)
     corrs, pending = [], None
@@ -856,39 +861,30 @@ def _pipelines(tables, labels, settings, rotation, kappa):
     except (BibfactorError, np.linalg.LinAlgError) as exc:
         pending = exc
     if corrs:
-        loadings, communalities, clamped, errors = _uls(
+        loadings, communalities, turned, phis, clamped, errors = _chain(
             np.stack([c.values for c in corrs]),
             np.stack([c.eigenvalues for c in corrs]),
             # column-major eigenvectors, as the kernels keep them
             _swap(np.stack([_swap(c.eigenvectors) for c in corrs])),
-            settings,
+            _no_errors(len(corrs)), settings, rotation, kappa,
         )
-        # tables after the first failed extraction are never rotated
-        last = next((i for i, e in enumerate(errors) if e is not None), len(corrs))
-        if rotation != "none":
-            turned, _ = _varimax(loadings[:last])
     results = []
     for i, corr in enumerate(corrs):
         _warn_clamped(int(clamped[i]))
         if errors[i] is not None:
             raise errors[i]
+        # every table before this one went through, so it is survivor i
         unrotated = LoadingMatrix(labels, loadings[i], rotation="none")
         rotated, structure, phi = unrotated, None, None
         if rotation != "none":
-            rotated = LoadingMatrix(labels, turned[i], rotation="varimax")
+            rotated = LoadingMatrix(labels, turned[i], rotation=rotation)
         if rotation == "promax":
-            solution = promax(rotated, kappa=kappa)
-            rotated, structure, phi = solution.pattern, solution.structure, solution.phi
+            structure, phi = rotated.values @ phis[i], phis[i]
         ss = ((rotated.values if structure is None else structure) ** 2).sum(axis=0)
         results.append(EFAResult(
-            correlation=corr,
-            unrotated=unrotated,
-            rotated=rotated,
-            communalities=communalities[i],
-            ss_loadings=ss,
-            variance_explained=ss / corr.p,
-            structure=structure,
-            phi=phi,
+            correlation=corr, unrotated=unrotated, rotated=rotated,
+            communalities=communalities[i], ss_loadings=ss,
+            variance_explained=ss / corr.p, structure=structure, phi=phi,
         ))
     if pending is not None:
         raise pending
@@ -939,7 +935,8 @@ def _align(values, reference):
 
     Picks the column permutation with the largest summed absolute Tucker
     congruence (the first of equal ones, in ``itertools.permutations``
-    order), then flips signs to make each congruence non-negative.
+    order), then flips signs to make each congruence non-negative. The m!
+    permutations are scored ``_BOOTSTRAP_CELLS // B`` at a time.
     """
     B, _, m = values.shape
     cross = _swap(values) @ reference
@@ -947,13 +944,19 @@ def _align(values, reference):
     denom = np.sqrt(norms)
     # congruence[b, a, j]: column a of matrix b against reference column j
     congruence = np.divide(cross, denom, out=np.zeros_like(cross), where=denom != 0.0)
-    perms = np.array(list(itertools.permutations(range(m))))
-    columns = np.arange(m)
-    totals = np.zeros((B, len(perms)))
-    for j in columns:
-        totals += np.abs(congruence[:, perms[:, j], j])
-    best = perms[np.argmax(totals, axis=-1)]
-    chosen = congruence[np.arange(B)[:, None], best, columns]
+    perms = itertools.permutations(range(m))
+    size = max(1, _BOOTSTRAP_CELLS // max(B, 1))
+    columns, rows = np.arange(m), np.arange(B)
+    best, top = np.zeros((B, m), dtype=int), np.full(B, -np.inf)
+    while block := list(itertools.islice(perms, size)):
+        block = np.array(block)
+        totals = sum(np.abs(congruence[:, block[:, j], j]) for j in columns)
+        first = np.argmax(totals, axis=-1)
+        total = totals[rows, first]
+        # a later block wins only with a strictly larger total
+        better = total > top
+        top[better], best[better] = total[better], block[first[better]]
+    chosen = congruence[rows[:, None], best, columns]
     signs = np.where(chosen < 0.0, -1.0, 1.0)
     return np.ascontiguousarray(_take_columns(values, best) * signs[:, None, :])
 
@@ -1012,17 +1015,20 @@ class BootstrapResult:
         }
 
 
-def _chain(r, stage, settings, rotation, kappa):
-    """Checks, extraction and rotation of a (k, p, p) stack of correlations.
+def _chain(values, eigenvalues, eigenvectors, stage, settings, rotation, kappa):
+    """Extraction and rotation of a (k, p, p) stack of checked correlations.
 
-    ``stage`` holds per matrix the error of the step that built it (None
-    when it went through). A matrix with an error or failing a step is
-    left out of the later ones. Returns the rotated loadings of the
-    matrices that went through, in stack order, per matrix its error (or
-    None), and the mask of clamped extractions.
+    Takes what :func:`_checked_correlations` returns, ``stage`` being the
+    errors (None where a matrix went through). A failed matrix is left out
+    of the later steps. This one chain serves both failure policies:
+    :func:`_pipelines` raises the first error in stack order, the bootstrap
+    drops and counts failures. Returns the unrotated loadings,
+    communalities, rotated loadings (the pattern under promax) and factor
+    correlations (None unless promax) of the matrices that went through, in
+    stack order, then per matrix the clamp mask and the error (or None).
     """
-    alive = np.arange(len(r))
-    errors, clamped = _no_errors(len(r)), np.zeros(len(r), dtype=bool)
+    alive = np.arange(len(values))
+    errors, clamped = _no_errors(len(values)), np.zeros(len(values), dtype=bool)
 
     def survivors(stage_errors, *stacks):
         nonlocal alive
@@ -1033,30 +1039,34 @@ def _chain(r, stage, settings, rotation, kappa):
         alive = alive[ok]
         return [stack[ok] for stack in stacks]
 
-    *corr, stage = _checked_correlations(*survivors(stage, r))
-    corr = survivors(stage, *corr)
-    loadings, _, stage_clamped, stage = _uls(*corr, settings)
+    corr = survivors(stage, values, eigenvalues, eigenvectors)
+    loadings, communalities, stage_clamped, stage = _uls(*corr, settings)
     clamped[alive] = stage_clamped
-    (loadings,) = survivors(stage, loadings)
+    loadings, communalities = survivors(stage, loadings, communalities)
+    rotated, phi = loadings, None
     if rotation != "none":
-        loadings, _ = _varimax(loadings)
+        rotated, _ = _varimax(loadings)
     if rotation == "promax":
-        loadings, _, stage = _promax(loadings, kappa)
-        (loadings,) = survivors(stage, loadings)
-    return loadings, errors, clamped
+        rotated, phi, stage = _promax(rotated, kappa)
+        loadings, communalities, rotated, phi = survivors(
+            stage, loadings, communalities, rotated, phi
+        )
+    return loadings, communalities, rotated, phi, clamped, errors
 
 
 def _resample_correlations(xt, indices, labels):
-    """What :func:`_correlations` returns for the resamples
-    ``xt[indices[b]]``, built at most ``_BOOTSTRAP_CELLS // (n p)`` tables
-    at a time."""
+    """:func:`_checked_correlations` of the resamples ``xt[indices[b]]``,
+    whose tables are built at most ``_BOOTSTRAP_CELLS // (n p)`` at a time;
+    an error of :func:`_correlations` goes ahead of a check's."""
     k, (n, p) = len(indices), xt.shape
     size = max(1, _BOOTSTRAP_CELLS // (n * p))
     r, stage = np.empty((k, p, p)), _no_errors(k)
     for start in range(0, k, size):
         part = slice(start, start + size)
         r[part], stage[part] = _correlations(xt[indices[part]], labels)
-    return r, stage
+    *checked, errors = _checked_correlations(r)
+    _fail(stage, np.not_equal(errors, None), lambda i: errors[i])
+    return *checked, stage
 
 
 def bootstrap_efa(
@@ -1086,7 +1096,8 @@ def bootstrap_efa(
     stacked kernels on stacks of at most ``_BOOTSTRAP_CELLS`` float64
     cells, which bounds the working memory: (n, p) tables
     ``_BOOTSTRAP_CELLS // (n p)`` at a time, p x p matrices
-    ``_BOOTSTRAP_CELLS // (p p)`` at a time.
+    ``_BOOTSTRAP_CELLS // (p p)`` at a time, and alignment scores the m!
+    column permutations of k matrices ``_BOOTSTRAP_CELLS // k`` at a time.
     Every resample runs exactly the iterates it would run alone through
     :func:`efa_pipeline`, so the result equals that per-resample
     definition bit for bit.
@@ -1108,8 +1119,7 @@ def bootstrap_efa(
     if n <= len(variables):
         raise InsufficientDataError("need more observations than variables")
     if indices is None:
-        rng = np.random.default_rng(seed)
-        indices = rng.integers(0, n, size=(n_boot, n))
+        indices = np.random.default_rng(seed).integers(0, n, (n_boot, n), dtype=np.int32)
     else:
         indices = np.asarray(indices)
         if indices.shape != (n_boot, n):
@@ -1128,11 +1138,11 @@ def bootstrap_efa(
     size = max(1, _BOOTSTRAP_CELLS // len(labels) ** 2)
     chunks = []
     for start in range(0, n_boot, size):
-        loadings, errors, clamped = _chain(
+        *_, rotated, _, clamped, errors = _chain(
             *_resample_correlations(xt, indices[start:start + size], labels),
             settings, rotation, kappa,
         )
-        chunks.append((_align(loadings, reference.rotated.values), errors, clamped))
+        chunks.append((_align(rotated, reference.rotated.values), errors, clamped))
     draws, errors, clamped = (np.concatenate(part) for part in zip(*chunks))
     n_clamped = int(clamped.sum())
     _warn_clamped(n_clamped)
@@ -1141,22 +1151,11 @@ def bootstrap_efa(
 
     if not len(draws):
         raise ConvergenceError("every bootstrap resample failed")
-    sd = (
-        draws.std(axis=0, ddof=1)
-        if draws.shape[0] > 1
-        else np.zeros_like(draws[0])
-    )
+    sd = draws.std(axis=0, ddof=1) if len(draws) > 1 else np.zeros_like(draws[0])
     lower, upper = np.percentile(draws, [2.5, 97.5], axis=0)
     return BootstrapResult(
-        n_boot=n_boot,
-        seed=seed,
-        labels=labels,
-        reference=reference.rotated,
-        mean=draws.mean(axis=0),
-        sd=sd,
-        lower=lower,
-        upper=upper,
-        n_failed=len(failed),
-        failures=dict(sorted(failures.items())),
+        n_boot=n_boot, seed=seed, labels=labels, reference=reference.rotated,
+        mean=draws.mean(axis=0), sd=sd, lower=lower, upper=upper,
+        n_failed=len(failed), failures=dict(sorted(failures.items())),
         n_clamped=n_clamped,
     )

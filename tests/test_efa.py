@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -458,6 +459,16 @@ class TestAlignLoadings:
                     candidate = a[:, perm] * np.array(signs)
                     assert best >= congruence_sum(candidate, ref) - 1e-12
 
+    @pytest.mark.parametrize("cells", [32_768, 1])
+    def test_first_of_equal_permutations_wins(self, monkeypatch, cells):
+        # both orders score 2/sqrt(2) exactly; with one cell each permutation
+        # is scored in a block of its own
+        monkeypatch.setattr(efa, "_BOOTSTRAP_CELLS", cells)
+        reference = LoadingMatrix(tuple("abc"), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        tied = LoadingMatrix(tuple("abc"), [[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])
+        aligned = align_loadings(tied, reference)
+        assert aligned.values.tolist() == [[1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]
+
     def test_shape_mismatch(self):
         a = LoadingMatrix(("a", "b"), np.ones((2, 2)))
         b = LoadingMatrix(("a", "b", "c"), np.ones((3, 2)))
@@ -649,8 +660,8 @@ def assert_matches_oracle(fixture, variables, transform, rotation, n_boot,
             n_boot=n_boot, seed=seed, indices=indices,
         )
     expected = oracle_bootstrap_efa(
-        sub.values, transform, rotation, n_boot, seed, tol=settings.tol,
-        max_iter=settings.max_iter, indices=indices,
+        sub.values, transform, rotation, n_boot, seed, n_factors=settings.n_factors,
+        tol=settings.tol, max_iter=settings.max_iter, indices=indices,
     )
     for key in ("mean", "sd", "lower", "upper"):
         assert getattr(result, key).tobytes() == expected[key].tobytes(), key
@@ -752,6 +763,36 @@ class TestStackedBootstrapEquivalence:
         # the budget is used: the first stack of each stage is full
         assert max(rows["_correlations"]) == cells // (n * p)
         assert max(rows["_uls"]) == cells // (p * p)
+
+    def test_alignment_in_blocks_of_permutations(self, fixture, monkeypatch):
+        # one matrix per chain stack, so its 4! = 24 column permutations are
+        # scored 20 and then 4 at a time; the first best one must still win
+        monkeypatch.setattr(efa, "_BOOTSTRAP_CELLS", 20)
+        calls = []
+
+        def spy(values, reference, kernel=efa._align):
+            calls.append(len(values))
+            return kernel(values, reference)
+
+        monkeypatch.setattr(efa, "_align", spy)
+        assert_matches_oracle(fixture, "7+NSC", "ln", "promax", 60,
+                              settings=ExtractionSettings(n_factors=4))
+        assert calls and all(efa._BOOTSTRAP_CELLS // k < 24 for k in calls if k)
+
+    def test_alignment_stays_within_the_cell_budget(self, fixture):
+        # 8! = 40,320 permutations of 40 resamples: scored all at once, their
+        # totals alone would take 12.9 MB
+        sub = fixture.subset(BOOTSTRAP_VARIABLES["7+NSC"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeywoodWarning)
+            tracemalloc.start()
+            try:
+                bootstrap_efa(sub.values, sub.columns,
+                              settings=ExtractionSettings(n_factors=8), n_boot=40, seed=31)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4e6
 
     def test_degenerate_resample_inside_a_chunk(self, fixture):
         n = fixture.n_rows

@@ -11,6 +11,7 @@ from bibfactor import (
     ValidationError,
     ZeroVarianceError,
     efa_pipeline,
+    promax,
 )
 from bibfactor import fixture as fx
 from bibfactor.efa import _pipelines
@@ -160,6 +161,32 @@ class TestStackedStages:
                     for name in ("communalities", "ss_loadings", "variance_explained"):
                         assert (getattr(got, name).tobytes()
                                 == getattr(want, name).tobytes()), (key, name)
+                    pairs += 1
+        assert pairs == 12
+
+    def test_stacked_promax_equals_promax_per_table(self):
+        # the chain's stacked promax against the public promax of each
+        # table's varimax result, on the 12 (variable set, transform) tables
+        table, settings = fixture_table(), ExtractionSettings()
+        pairs = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for spec in fx.VARIMAX_TABLES.values():
+                variables = spec["variables"]
+                values = np.column_stack([table.column(v) for v in variables])
+
+                def stack(rotation):
+                    return _pipelines(
+                        (np.column_stack(list(transform_columns(values, variables, Transform(k))))
+                         for k in spec["loadings"]),
+                        variables, settings, rotation, 3,
+                    )
+
+                for got, turned in zip(stack("promax"), stack("varimax"), strict=True):
+                    want = promax(turned.rotated, kappa=3)
+                    assert got.rotated.values.tobytes() == want.pattern.values.tobytes()
+                    assert got.structure.tobytes() == want.structure.tobytes()
+                    assert got.phi.tobytes() == want.phi.tobytes()
                     pairs += 1
         assert pairs == 12
 
