@@ -393,7 +393,8 @@ def build_parser():
     _add_input_options(p)
     _add_model_options(p)
     p.add_argument("--threshold", type=float, default=0.7,
-                   help="pattern threshold on the varimax loadings")
+                   help="pattern threshold on the varimax loadings "
+                        "(default: %(default)s)")
     p.add_argument("--assign-max", action="store_true",
                    help="assign variables below the threshold to their "
                         "maximum-loading factor")
@@ -413,10 +414,11 @@ def build_parser():
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("verify", help="re-derive the published tables")
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
+    p.add_argument("--tolerance-scale", type=float, default=1.0,
+                   help="factor on every published tolerance (default: %(default)s)")
     p.add_argument("--verbose", action="store_true",
                    help="also list passing checks")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -45,6 +45,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
     ZeroVarianceError,
+    check_unique,
 )
 from .stats import Transform, constant_samples, transform_columns
 
@@ -215,9 +216,11 @@ class CorrelationMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        labels = tuple(self.labels)
+        check_unique(labels)
         # a copy: the checks write over it
         v = np.array(self.values, dtype=float)
-        p = len(self.labels)
+        p = len(labels)
         if v.shape != (p, p):
             raise ValidationError(
                 f"correlation matrix shape {v.shape} does not match "
@@ -228,7 +231,7 @@ class CorrelationMatrix:
             raise error.item()
         for array in (v, eigenvalues, eigenvectors):
             array.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
@@ -274,12 +277,13 @@ def correlation_matrix(table, labels):
     table : array-like, shape (n, p)
         Observations in rows; needs n >= 3 and finite values.
     labels : sequence of str
-        One name per column; used in error messages and results.
+        One distinct name per column; used in error messages and results.
     """
     x = np.asarray(table, dtype=float)
     if x.ndim != 2:
         raise ValidationError("table must be two-dimensional")
     labels = tuple(labels)
+    check_unique(labels)
     if x.shape[1] != len(labels):
         raise ValidationError("number of labels must match number of columns")
     if x.shape[0] < 3:
@@ -367,13 +371,15 @@ class LoadingMatrix:
     rotation: str = "none"
 
     def __post_init__(self):
+        labels = tuple(self.labels)
+        check_unique(labels)
         v = np.array(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != len(self.labels):
+        if v.ndim != 2 or v.shape[0] != len(labels):
             raise ValidationError("loading matrix shape does not match labels")
         if self.rotation not in ("none", "varimax", "promax"):
             raise ValidationError(f"unknown rotation tag {self.rotation!r}")
         v.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", v)
 
     @property

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check
+on repeated names that tables and results share."""
 
 
 class BibfactorError(Exception):
@@ -60,3 +61,11 @@ class ParseError(BibfactorError, ValueError):
 
 class HeywoodWarning(UserWarning):
     """A communality or uniqueness hit the admissible boundary and was clamped."""
+
+
+def check_unique(names, kind="label"):
+    """Raise ``ValidationError`` naming the first repeat in the tuple
+    ``names``: two rows or columns under one name would merge in a result."""
+    if len(set(names)) != len(names):
+        repeat = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValidationError(f"duplicate {kind} {repeat!r}")

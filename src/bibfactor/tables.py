@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_unique
 from .indices import (
     INDICATOR_COLUMNS,
     CitationRecord,
@@ -50,10 +50,8 @@ class IndicatorTable:
                 f"values shape {self.values.shape} does not match "
                 f"{len(self.labels)} rows x {len(self.columns)} columns"
             )
-        for kind, names in (("label", self.labels), ("column", self.columns)):
-            if len(set(names)) != len(names):
-                repeat = next(n for i, n in enumerate(names) if n in names[:i])
-                raise ValidationError(f"duplicate {kind} {repeat!r}")
+        check_unique(self.labels)
+        check_unique(self.columns, "column")
 
     @property
     def n_rows(self):

@@ -186,7 +186,7 @@ def _check_loading_tables(report, scale, results):
                         _num(report, table_id, f"{v} F{j + 1} {key}",
                              cells[v][j], values[i, j], tol)
                 if "ss_loadings" in spec:
-                    ss = (values**2).sum(axis=0)
+                    ss = aligned[(table_id, key)].ss_loadings()
                     for j, expected in enumerate(spec["ss_loadings"][key]):
                         _num(report, table_id, f"SS F{j + 1} {key}", expected,
                              float(ss[j]), fx.TOLERANCES["ss_loadings"] * scale)
@@ -218,8 +218,7 @@ def _check_variance_explained(report, scale, results, aligned):
         _num(report, "table3", f"variance total {key}", expected["total"],
              float(pct.sum()), tol)
         if "split" in expected:
-            values = aligned[("table3", key)].values
-            ss_pct = (values**2).sum(axis=0) / len(variables) * 100.0
+            ss_pct = aligned[("table3", key)].ss_loadings() / len(variables) * 100.0
             for j, e in enumerate(expected["split"]):
                 _num(report, "table3", f"variance F{j + 1} {key}", e,
                      float(ss_pct[j]), tol)

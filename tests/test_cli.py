@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -30,15 +31,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} in a --json payload")
+
+
+def load_payload(text):
+    """A ``--json`` payload; NaN and Infinity, which strict JSON lacks, are refused."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def json_payload(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
-    return json.loads(out)
+    return load_payload(out)
 
 
 def strict_json(result):
-    """A result's ``to_dict()`` as the CLI would print it; NaN is refused."""
-    return json.loads(json.dumps(result.to_dict(), allow_nan=False))
+    """A result's ``to_dict()`` as the CLI would print it, strictly loaded."""
+    return load_payload(json.dumps(result.to_dict()))
 
 
 def fixture_columns(variables):
@@ -142,7 +152,7 @@ class TestIndicesCommand:
         assert out.splitlines()[0].split(",") == ["scientist"] + canonical
         code, out, _ = run_cli(capsys, "indices", "--fixture", "--json")
         assert code == 0
-        payload = json.loads(out)
+        payload = load_payload(out)
         assert payload["columns"] == canonical
         table = fixture_table()
         assert list(payload["rows"]) == list(table.labels)
@@ -158,7 +168,7 @@ class TestIndicesCommand:
             capsys, "indices", "--input", str(path), "--format", "wide", "--json"
         )
         assert code == 0
-        row = json.loads(out)["rows"]["x"]
+        row = load_payload(out)["rows"]["x"]
         assert row["h"] == 4 and row["h2"] == 2 and row["g"] == 5
         assert row["A"] == pytest.approx(6.75)
         assert row["m"] == pytest.approx(6.5)
@@ -191,7 +201,7 @@ class TestIndicesCommand:
                 "--g-convention", convention, *extra, "--json",
             )
             assert code == 0
-            payloads[convention] = json.loads(out)
+            payloads[convention] = load_payload(out)
         assert payloads["capped"] != payloads["padded"]
         if command == "indices":
             assert payloads["padded"]["rows"]["x"]["g"] == 5
@@ -324,7 +334,7 @@ class TestDescribeCommand:
     def test_json_and_text_agree_after_rounding(self, capsys):
         _, text, _ = run_cli(capsys, "describe", "--fixture")
         _, raw, _ = run_cli(capsys, "describe", "--fixture", "--json")
-        payload = json.loads(raw)
+        payload = load_payload(raw)
         mean_line = next(
             line for line in text.splitlines() if line.startswith("mean")
         )
@@ -354,7 +364,7 @@ class TestDescribeCommand:
         code, out, _ = run_cli(
             capsys, "describe", "--fixture", "--df", "25", "--json"
         )
-        payload = json.loads(out)
+        payload = load_payload(out)
         # with df = n - 1 the Student reference is nearly normal
         assert payload["h"]["D_student"] == pytest.approx(
             payload["h"]["D_normal"], abs=5e-3
@@ -425,7 +435,7 @@ class TestEfaCommand:
             "--rotation", "varimax", "--json",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = load_payload(out)
         computed = np.array(payload["loadings"])
         expected = np.array([
             VARIMAX_TABLES["table3"]["loadings"]["raw"][v]
@@ -438,7 +448,7 @@ class TestEfaCommand:
         code, out, _ = run_cli(
             capsys, "efa", "--fixture", "--rotation", "promax", "--json"
         )
-        payload = json.loads(out)
+        payload = load_payload(out)
         assert "structure" in payload and "phi" in payload
         phi = np.array(payload["phi"])
         assert phi[0, 1] == pytest.approx(phi[1, 0])
@@ -505,7 +515,7 @@ class TestEfaCommand:
             capsys, "efa", "--fixture", "--vars", "h,g,A,R", "--json"
         )
         assert code == 0
-        assert json.loads(out)["variables"] == ["h", "g", "A", "R"]
+        assert load_payload(out)["variables"] == ["h", "g", "A", "R"]
 
     def test_unknown_variable_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "efa", "--fixture", "--vars", "h,xx")
@@ -547,6 +557,34 @@ def test_warning_filters_still_apply(capsys):
             main(["efa", "--fixture"])
 
 
+def write_long_corpus(path):
+    """The seeded long-format corpus of the benchmark, at 200 scientists
+    and 20,000 papers; ``perfbench/corpus.py`` is only read."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus", Path(__file__).parents[1] / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    corpus.write_long_csv(corpus.generate(7, 200, 20_000), path, 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bootstrap", "--fixture", "--vars", "7+NSC", "--transform", "ln", "--rotation",
+     "promax", "--B", "2000", "--seed", "5"],
+    ["efa", "--fixture", "--vars", "7+NSC", "--transform", "ln", "--rotation", "promax"],
+    ["verify"],
+    ["describe", "--input", "corpus.csv", "--vars", "7+NSC", "--transform", "ln1p"],
+], ids=["bootstrap", "efa", "verify", "describe corpus"])
+def test_no_runtime_warning_and_strict_payload(capsys, tmp_path, monkeypatch, argv):
+    # a filter set in the body, not a mark, so that a run without pytest's
+    # warnings plugin makes the check too
+    monkeypatch.chdir(tmp_path)
+    if "corpus.csv" in argv:
+        write_long_corpus(tmp_path / "corpus.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        json_payload(capsys, *argv)
+
+
 class TestCfaCommand:
     def test_default_variables_are_the_paper_model(self, capsys):
         default = run_cli(capsys, "cfa", "--fixture")
@@ -559,7 +597,7 @@ class TestCfaCommand:
             "--json",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = load_payload(out)
         assert payload["converged"]
         variables = payload["variables"]
         r2 = dict(zip(variables, payload["r_squared"]))
@@ -647,7 +685,7 @@ class TestBootstrapCommand:
         assert code == 0
         # one note for the clamps of the full-sample fit and the resamples
         assert err == "note: communality exceeded 1 during extraction and was clamped\n"
-        payload = json.loads(out)
+        payload = load_payload(out)
         assert payload["B"] == 25 and payload["seed"] == 7
         lower = np.array(payload["lower"])
         upper = np.array(payload["upper"])
@@ -683,17 +721,21 @@ class TestBootstrapCommand:
         assert code == 2
         assert out == "" and "seed must be non-negative" in err
 
-    @pytest.mark.parametrize("command", ["efa", "bootstrap"])
+    @pytest.mark.parametrize("command", ["efa", "bootstrap", "cfa", "verify"])
     def test_help_states_each_default(self, capsys, command):
         with pytest.raises(SystemExit) as exit_:
             main([command, "--help"])
         assert exit_.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        defaults = {"--transform": "raw", "--factors": "2", "--rotation": "varimax",
-                    "--kappa": "3", "--B": "1000", "--seed": "0"}
+        model = {"--transform": "raw", "--factors": "2"}
+        rotation = {"--rotation": "varimax", "--kappa": "3"}
+        defaults = {
+            "efa": {"--vars": "7", **model, **rotation, "--threshold": "0.6"},
+            "bootstrap": {"--vars": "7", **model, **rotation, "--B": "1000", "--seed": "0"},
+            "cfa": {"--vars": "7+NC", **model, "--threshold": "0.7"},
+            "verify": {"--tolerance-scale": "1.0"},
+        }[command]
         for option, default in defaults.items():
-            if command == "efa" and option in ("--B", "--seed"):
-                continue
             # the option's entry runs up to the next option
             entry = text.split(f" {option} ", 1)[1].split(" --", 1)[0]
             assert entry.endswith(f"(default: {default})"), (option, entry)
@@ -717,7 +759,7 @@ class TestVerifyCommand:
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--json")
-        payload = json.loads(out)
+        payload = load_payload(out)
         assert payload["overall_pass"] is True
         assert payload["n_binding"] > 500
         assert list(payload) == ["overall_pass", "n_binding", "n_binding_failed",

@@ -638,6 +638,26 @@ class TestBootstrap:
             call(values, sub.columns)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, labels: correlation_matrix(x, labels),
+    lambda x, labels: efa_pipeline(x, labels),
+    lambda x, labels: bootstrap_efa(x, labels, n_boot=5),
+    lambda x, labels: CorrelationMatrix(labels, np.corrcoef(x, rowvar=False)),
+    lambda x, labels: LoadingMatrix(labels, np.zeros((len(labels), 2))),
+], ids=["correlation_matrix", "efa_pipeline", "bootstrap_efa", "CorrelationMatrix",
+        "LoadingMatrix"])
+def test_repeated_label_rejected(fixture, monkeypatch, call):
+    # two columns under one label would merge in categorize and the payloads
+    def no_resample(*args):
+        raise AssertionError("a resample ran")
+
+    monkeypatch.setattr(efa, "_resample_correlations", no_resample)
+    sub = fixture.subset(("h", "m", "g", "A"))
+    # the first repeat is named: 'h' repeats before 'g' does
+    with pytest.raises(ValidationError, match="^duplicate label 'h'$"):
+        call(sub.values, ("g", "h", "h", "g"))
+
+
 SEVEN = VARIABLE_SETS["7"]
 BOOTSTRAP_VARIABLES = {
     "7": SEVEN,

@@ -194,14 +194,32 @@ class TestParseCitationsLongEquivalence:
             assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
             assert _same_table_both_ways(text)
 
-    def test_many_blocks_keep_first_appearance_order(self):
+    @pytest.mark.parametrize("copy", ["LF", "CRLF", "zero-led", "quoted first label",
+                                      "padded counts", "blank lines", "padded labels"])
+    def test_many_blocks_keep_first_appearance_order(self, copy):
+        """Seven copies of one text of over four blocks give the records and
+        table of its LF copy; the last four take the row reader."""
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 500, 40_000)
         counts = rng.integers(0, 10**6, 40_000)
-        text = HEADER + "".join(f"s{a},{c}\n" for a, c in zip(labels, counts))
+        body = "".join(f"s{a},{c}\n" for a, c in zip(labels, counts))
+        lf = HEADER + body
+        first, rest = body.split("\n", 1)
+        label, count = first.split(",")
+        text = {
+            "LF": lf,
+            "CRLF": lf.replace("\n", "\r\n"),
+            "zero-led": HEADER + body.replace(",", ",00"),
+            "quoted first label": f'{HEADER}"{label}",{count}\n{rest}',
+            "padded counts": HEADER + body.replace(",", ", "),
+            "blank lines": f"{HEADER}\n{first}\n \t\n{rest}\n \n",
+            "padded labels": HEADER + "  " + body[:-1].replace("\n", "\n  ") + "\n",
+        }[copy]
         assert len(text) > 4 * tables._BLOCK_CHARS
-        assert tables._parse_long_columns(text) is not None
-        assert _parsed(text) == oracle_parse_citations_long(text)
+        columnar = copy in ("LF", "CRLF", "zero-led")
+        assert (tables._parse_long_columns(text) is not None) == columnar
+        assert _parsed(text) == _parsed(lf) == oracle_parse_citations_long(text)
+        assert tables.citation_table(text) == tables.citation_table(lf)
 
     @pytest.mark.parametrize("block_chars", [1 << 16, 64])
     def test_blank_lines_across_blocks(self, monkeypatch, block_chars):
