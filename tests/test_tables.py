@@ -194,11 +194,10 @@ class TestParseCitationsLongEquivalence:
             assert _outcome(_parsed, text) == _outcome(oracle_parse_citations_long, text)
             assert _same_table_both_ways(text)
 
-    @pytest.mark.parametrize("copy", ["LF", "CRLF", "zero-led", "quoted first label",
-                                      "padded counts", "blank lines", "padded labels"])
-    def test_many_blocks_keep_first_appearance_order(self, copy):
-        """Seven copies of one text of over four blocks give the records and
-        table of its LF copy; the last four take the row reader."""
+    @staticmethod
+    def _many_block_copies():
+        """An LF text of over four blocks and six copies of it that read to
+        the same records."""
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 500, 40_000)
         counts = rng.integers(0, 10**6, 40_000)
@@ -206,17 +205,30 @@ class TestParseCitationsLongEquivalence:
         lf = HEADER + body
         first, rest = body.split("\n", 1)
         label, count = first.split(",")
-        text = {
-            "LF": lf,
+        return lf, {
             "CRLF": lf.replace("\n", "\r\n"),
             "zero-led": HEADER + body.replace(",", ",00"),
             "quoted first label": f'{HEADER}"{label}",{count}\n{rest}',
             "padded counts": HEADER + body.replace(",", ", "),
             "blank lines": f"{HEADER}\n{first}\n \t\n{rest}\n \n",
             "padded labels": HEADER + "  " + body[:-1].replace("\n", "\n  ") + "\n",
-        }[copy]
+        }
+
+    def test_many_blocks_keep_first_appearance_order(self):
+        text, _ = self._many_block_copies()
         assert len(text) > 4 * tables._BLOCK_CHARS
-        columnar = copy in ("LF", "CRLF", "zero-led")
+        assert tables._parse_long_columns(text) is not None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+
+    @pytest.mark.parametrize("copy", ["CRLF", "zero-led", "quoted first label",
+                                      "padded counts", "blank lines", "padded labels"])
+    def test_many_blocks_copies_match_the_lf_copy(self, copy):
+        """Each copy gives the records and table of the LF text; the last
+        four take the row reader."""
+        lf, copies = self._many_block_copies()
+        text = copies[copy]
+        assert len(text) > 4 * tables._BLOCK_CHARS
+        columnar = copy in ("CRLF", "zero-led")
         assert (tables._parse_long_columns(text) is not None) == columnar
         assert _parsed(text) == _parsed(lf) == oracle_parse_citations_long(text)
         assert tables.citation_table(text) == tables.citation_table(lf)
