@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .efa import check_threshold
+from .efa import _singular, check_threshold
 from .errors import (
     ConvergenceError,
     HeywoodWarning,
@@ -277,7 +277,7 @@ def cfa_fit(corr, n_obs, spec):
     p = spec.p
     if n_obs <= p:
         raise ValidationError("need more observations than variables")
-    if corr.eigenvalues[-1] <= 0:
+    if _singular(corr.eigenvalues):
         raise ValidationError("sample matrix must be positive definite")
     s = np.asarray(corr.values)
 

@@ -148,11 +148,16 @@ def _top_eigh(m, k=None):
     return values[_per_matrix(order)], _take_columns(vectors, order)
 
 
+def _singular(values):
+    """The numerically singular matrices, from descending eigenvalues."""
+    top = values[..., 0]
+    return (top <= 0) | (values[..., -1] <= _RELATIVE_RANK_TOL * top)
+
+
 def _eigen_inverse(values, vectors):
     """Inverses from descending eigendecompositions, and the mask of the
     numerically singular matrices, whose inverse is meaningless."""
-    w_max = values.max(axis=-1)
-    singular = (w_max <= 0) | (values.min(axis=-1) <= _RELATIVE_RANK_TOL * w_max)
+    singular = _singular(values)
     safe = np.where(singular[..., None], 1.0, values)
     return (vectors / safe[..., None, :]) @ _swap(vectors), singular
 
@@ -619,13 +624,14 @@ def _promax(values, kappa):
 
     Returns the pattern loadings (B, p, m), the factor correlations
     (B, m, m) and per matrix a SingularMatrixError or LinAlgError (or None);
-    a ``kappa`` below 1 fails every matrix with a ValidationError.
+    a ``kappa`` outside [1, inf) fails every matrix with a ValidationError.
     Rank-deficient matrices are screened out before any inverse.
     """
     B, p, m = values.shape
     errors = _no_errors(B)
-    if kappa < 1:
-        errors[:] = [ValidationError("kappa must be a positive exponent") for _ in errors]
+    if not 1 <= kappa < np.inf:
+        errors[:] = [ValidationError(f"kappa must be a finite exponent >= 1, got {kappa}")
+                     for _ in errors]
         return np.zeros_like(values), np.zeros((B, m, m)), errors
     if m == 1:
         return np.array(values), np.ones((B, 1, 1)), errors
@@ -638,7 +644,7 @@ def _promax(values, kappa):
     (gram_values, gram_vectors), errors = _guarded(
         _sorted_eigh, _swap(normalized) @ normalized
     )
-    _fail(errors, gram_values[:, -1] <= _RELATIVE_RANK_TOL * gram_values[:, 0],
+    _fail(errors, _singular(gram_values),
           lambda i: SingularMatrixError("varimax loadings are rank deficient"))
     ok = np.equal(errors, None)
     normalized = normalized[ok]
@@ -740,8 +746,8 @@ def bartlett(corr, n_obs):
     p = corr.p
     if n_obs <= p:
         raise InsufficientDataError("need more observations than variables")
-    if corr.eigenvalues[-1] <= 0.0:
-        raise SingularMatrixError("determinant of R is not positive")
+    if _singular(corr.eigenvalues):
+        raise SingularMatrixError("matrix is numerically singular")
     log_det = float(np.log(corr.eigenvalues).sum())
     chi2 = -(n_obs - 1 - (2 * p + 5) / 6.0) * log_det
     df = p * (p - 1) // 2

@@ -1,10 +1,35 @@
+import contextlib
+import io
 import warnings
 
 import pytest
 
 from bibfactor import normalize_record
+from bibfactor.cli import main
 from bibfactor.fixture import fixture_table
 from bibfactor.verify import run_verification
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``cli.main`` on ``argv``, in-process.
+
+    A ``SystemExit`` (a usage error, ``--help``) gives its code, as the
+    installed script would. ``main`` prints each warning a command raises
+    as a ``note:`` line, so a warning that escapes it fails the calling
+    test, with or without pytest's warning capture. No filter is set here:
+    ``main`` runs under the caller's filters.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    if caught:
+        pytest.fail(f"main({argv}) let warnings escape: "
+                    f"{[str(w.message) for w in caught]}")
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture

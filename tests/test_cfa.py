@@ -460,6 +460,58 @@ class TestBoundedScoring:
             cfa_fit(corr, n_obs, spec)
         assert seen["builds"] == seen["result"].nfev
 
+    @staticmethod
+    def _unbounded(x0, fun):
+        inf = np.full(len(x0), np.inf)
+        return cfa_mod.minimize(fun, np.array(x0), lower=-inf, upper=inf)
+
+    def test_singular_step_solve_stops_the_search(self):
+        # F = |x|^2 / 2 with the exact information at the start only: the
+        # first step reaches the minimum, the second cannot be solved for
+        def fun(x):
+            info = np.eye(2) if np.array_equal(x, [3.0, -1.0]) else np.ones((2, 2))
+            return 0.5 * x @ x, x, info
+
+        result = self._unbounded([3.0, -1.0], fun)
+        assert (result.success, result.nit, result.nfev) == (False, 1, 2)
+        assert np.array_equal(result.x, [0.0, 0.0])
+
+    def test_fifty_halvings_without_a_decrease_stop_the_search(self):
+        # F = x^2 with a gradient that turns uphill below x = 3: the first
+        # step lowers F to 4, then every halving of the second raises it
+        def fun(x):
+            return float(x[0] ** 2), (2.0 if x[0] > 3.0 else -2.0) * x, np.array([[4.0]])
+
+        result = self._unbounded([4.0], fun)
+        assert (result.success, result.nit) == (False, 1)
+        assert result.nfev == 2 + cfa_mod._MAX_HALVINGS
+        assert np.array_equal(result.x, [2.0])
+
+    def test_iteration_cap_stops_the_search(self):
+        # F = -x falls by 1 at every step and never levels off
+        result = self._unbounded([0.0], lambda x: (-float(x[0]), -np.ones(1), np.eye(1)))
+        assert (result.success, result.nit) == (False, cfa_mod._MAX_ITER)
+        assert result.nfev == cfa_mod._MAX_ITER + 1
+        assert np.array_equal(result.x, [cfa_mod._MAX_ITER])
+
+    def test_singular_final_information_gives_nan_standard_errors(self, monkeypatch):
+        real = cfa_mod.minimize
+
+        def singular_information(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return result._replace(information=np.zeros_like(result.information))
+
+        corr, spec, *_ = exact_model(np.random.default_rng(108))
+        monkeypatch.setattr(cfa_mod, "minimize", singular_information)
+        fit = cfa_fit(corr, 100, spec)
+        monkeypatch.undo()
+        assert fit.converged
+        assert np.isnan(fit.se).all() and np.isnan(fit.z).all()
+        assert np.isnan(fit.p_values).all()
+        want = cfa_fit(corr, 100, spec)
+        assert fit.loadings.tobytes() == want.loadings.tobytes()
+        assert not np.isnan(want.se[spec.loadings_free]).any()
+
     def test_inadmissible_start_raises(self):
         # a star of free factor correlations at their start value 0.3 makes
         # Phi indefinite enough that Sigma at the start is not positive

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -17,18 +18,12 @@ from bibfactor import (
     HeywoodWarning, IndicatorTable, cli, fixture_table, indicator_table_to_csv,
 )
 from bibfactor.cfa import cfa_fit, pattern_from_efa
-from bibfactor.cli import main
 from bibfactor.efa import ExtractionSettings, adequacy, bootstrap_efa, efa_pipeline
 from bibfactor.fixture import VARIMAX_TABLES
 from bibfactor.stats import Transform
 from bibfactor.tables import INDICATOR_COLUMNS, VARIABLE_SETS, format_number
 from bibfactor.verify import run_verification
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run_main
 
 
 def _refuse(constant):
@@ -40,8 +35,8 @@ def load_payload(text):
     return json.loads(text, parse_constant=_refuse)
 
 
-def json_payload(capsys, *argv):
-    code, out, _ = run_cli(capsys, *argv, "--json")
+def json_payload(*argv):
+    code, out, _ = run_main([*argv, "--json"])
     assert code == 0
     return load_payload(out)
 
@@ -81,17 +76,19 @@ print(json.dumps(seen))
 """
 
 
+def run_fresh(command, **kwargs):
+    """``command`` in a fresh process that imports this bibfactor."""
+    src = str(Path(bibfactor.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(command, capture_output=True, text=True, env=env, **kwargs)
+
+
 def scipy_modules_after(*commands):
     """The scipy modules loaded after importing bibfactor and after each command.
 
     Runs in a fresh interpreter: the test oracles import scipy into this one.
     """
-    src = str(Path(bibfactor.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    done = run_fresh([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)], check=True)
     return json.loads(done.stdout)
 
 
@@ -109,18 +106,37 @@ def test_p_value_commands_load_scipy_special_not_optimize(argv):
     assert "scipy.optimize" not in seen
 
 
+def test_script_exits_2_on_a_count_beyond_the_exactness_bound(tmp_path):
+    # `python -m bibfactor.cli` runs the `sys.exit(main())` of the console
+    # script, which runs too where one is installed; the timeout is the
+    # no-hang check
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'bibfactor = "bibfactor.cli:main"' in pyproject.read_text().splitlines()
+    path = tmp_path / "big.csv"
+    path.write_text("scientist,citations\na,9000000000000000000\n")
+    scripts = [[sys.executable, "-m", "bibfactor.cli"]]
+    if shutil.which("bibfactor"):
+        scripts.append([shutil.which("bibfactor")])
+    for script in scripts:
+        done = run_fresh([*script, "indices", "--input", str(path)], timeout=10)
+        assert done.returncode == 2, script
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
+
 class TestIndicesCommand:
-    def test_long_input(self, capsys, tmp_path):
+    def test_long_input(self, tmp_path):
         path = tmp_path / "cites.csv"
         path.write_text("scientist,citations\na,10\na,3\nb,0\n")
-        code, out, err = run_cli(capsys, "indices", "--input", str(path))
+        code, out, err = run_main(["indices", "--input", str(path)])
         assert code == 0
         assert "scientist" in out and "a" in out and "b" in out
 
-    def test_text_rendering(self, capsys, tmp_path):
+    def test_text_rendering(self, tmp_path):
         path = tmp_path / "cites.csv"
         path.write_text("scientist,citations\nx,3\nx,10\ny,0\nx,5\ny,2\nx,4\nx,8\n")
-        code, out, _ = run_cli(capsys, "indices", "--input", str(path))
+        code, out, _ = run_main(["indices", "--input", str(path)])
         assert code == 0
         assert out.splitlines() == [
             "scientist       h       m       g      h2       A       R      hw"
@@ -133,24 +149,24 @@ class TestIndicesCommand:
             "       2       2     1.0",
         ]
 
-    def test_json_keys(self, capsys):
-        payload = json_payload(capsys, "indices", "--fixture")
+    def test_json_keys(self):
+        payload = json_payload("indices", "--fixture")
         assert list(payload) == ["columns", "rows"]
         assert payload["columns"] == list(INDICATOR_COLUMNS)
         assert list(payload["rows"]) == list(fixture_table().labels)
         assert {tuple(row) for row in payload["rows"].values()} == {INDICATOR_COLUMNS}
 
-    def test_fixture_columns_in_canonical_order(self, capsys):
+    def test_fixture_columns_in_canonical_order(self):
         # the fixture table stores its columns in the appendix order g, h2, h, ...
         canonical = ["h", "m", "g", "h2", "A", "R", "hw", "N", "S", "C"]
-        code, out, _ = run_cli(capsys, "indices", "--fixture")
+        code, out, _ = run_main(["indices", "--fixture"])
         assert code == 0
         assert out.splitlines()[0].split() == ["scientist"] + canonical
-        code, out, _ = run_cli(capsys, "indices", "--fixture", "--csv")
+        code, out, _ = run_main(["indices", "--fixture", "--csv"])
         assert code == 0
         assert out == indicator_table_to_csv(fixture_table().subset(canonical))
         assert out.splitlines()[0].split(",") == ["scientist"] + canonical
-        code, out, _ = run_cli(capsys, "indices", "--fixture", "--json")
+        code, out, _ = run_main(["indices", "--fixture", "--json"])
         assert code == 0
         payload = load_payload(out)
         assert payload["columns"] == canonical
@@ -161,12 +177,12 @@ class TestIndicesCommand:
             i = table.labels.index(label)
             assert row == {c: table.column(c)[i] for c in canonical}
 
-    def test_five_paper_record_values(self, capsys, tmp_path):
+    def test_five_paper_record_values(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("x,3,10,5,4,8\n")
-        code, out, _ = run_cli(
-            capsys, "indices", "--input", str(path), "--format", "wide", "--json"
-        )
+        code, out, _ = run_main([
+            "indices", "--input", str(path), "--format", "wide", "--json"
+        ])
         assert code == 0
         row = load_payload(out)["rows"]["x"]
         assert row["h"] == 4 and row["h2"] == 2 and row["g"] == 5
@@ -180,7 +196,7 @@ class TestIndicesCommand:
     @pytest.mark.parametrize(
         "command", ["indices", "describe", "efa", "cfa", "bootstrap"]
     )
-    def test_g_convention_flag(self, capsys, tmp_path, command):
+    def test_g_convention_flag(self, tmp_path, command):
         extra = {
             "cfa": ("--assign-max",), "bootstrap": ("--B", "20", "--seed", "3"),
         }.get(command, ())
@@ -196,10 +212,10 @@ class TestIndicesCommand:
         path.write_text("\n".join(lines) + "\n")
         payloads = {}
         for convention in ("padded", "capped"):
-            code, out, _ = run_cli(
-                capsys, command, "--input", str(path), "--format", "wide",
+            code, out, _ = run_main([
+                command, "--input", str(path), "--format", "wide",
                 "--g-convention", convention, *extra, "--json",
-            )
+            ])
             assert code == 0
             payloads[convention] = load_payload(out)
         assert payloads["capped"] != payloads["padded"]
@@ -207,19 +223,19 @@ class TestIndicesCommand:
             assert payloads["padded"]["rows"]["x"]["g"] == 5
             assert payloads["capped"]["rows"]["x"]["g"] == 1
 
-    def test_bad_input_exits_2(self, capsys, tmp_path):
+    def test_bad_input_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("scientist,citations\na,-2\n")
-        code, _, err = run_cli(capsys, "indices", "--input", str(path))
+        code, _, err = run_main(["indices", "--input", str(path)])
         assert code == 2
         assert "line 2" in err
 
-    def test_record_without_papers_exits_2(self, capsys, tmp_path):
+    def test_record_without_papers_exits_2(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("a,3,10,5\nx,\n")
-        code, out, err = run_cli(
-            capsys, "indices", "--input", str(path), "--format", "wide"
-        )
+        code, out, err = run_main([
+            "indices", "--input", str(path), "--format", "wide"
+        ])
         assert code == 2
         assert out == ""
         assert err == "error: record 'x' has no papers; C = S/N is undefined\n"
@@ -229,11 +245,11 @@ class TestIndicesCommand:
         (("--format", "wide"), "b,3\na," + "1" * 33 + "\n"),
         (("--format", "wide", "--g-convention", "capped"), "a,1" + "0" * 400 + "\n"),
     ], ids=["long 9e18", "wide 33 digits", "wide 400 digits capped"])
-    def test_count_beyond_exactness_bound_exits_2(self, capsys, tmp_path, argv, content):
+    def test_count_beyond_exactness_bound_exits_2(self, tmp_path, argv, content):
         path = tmp_path / "big.csv"
         path.write_text(content)
         started = time.perf_counter()
-        code, out, err = run_cli(capsys, "indices", "--input", str(path), *argv)
+        code, out, err = run_main(["indices", "--input", str(path), *argv])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
@@ -241,15 +257,15 @@ class TestIndicesCommand:
                        "indices are exact only up to 2**53\n")
 
     @pytest.mark.parametrize("command", ["efa", "cfa", "describe"])
-    def test_non_finite_indicator_exits_2(self, capsys, tmp_path, command):
+    def test_non_finite_indicator_exits_2(self, tmp_path, command):
         lines = indicator_table_to_csv(fixture_table()).splitlines()
         label, _, rest = lines[2].split(",", 2)
         lines[2] = f"{label},nan,{rest}"
         path = tmp_path / "indicators.csv"
         path.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(
-            capsys, command, "--input", str(path), "--format", "indicators"
-        )
+        code, out, err = run_main([
+            command, "--input", str(path), "--format", "indicators"
+        ])
         assert code == 2
         assert out == ""
         assert "line 3: non-finite cell 'nan'" in err
@@ -263,10 +279,10 @@ class TestIndicesCommand:
              "line 2: byte 0xff at offset 7"),
         ],
     )
-    def test_invalid_utf8_exits_2(self, capsys, tmp_path, argv, content, where):
+    def test_invalid_utf8_exits_2(self, tmp_path, argv, content, where):
         path = tmp_path / "bad.csv"
         path.write_bytes(content)
-        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        code, out, err = run_main([argv[0], "--input", str(path), *argv[1:]])
         assert code == 2
         assert out == ""
         assert err == f"error: {where} is not valid UTF-8\n"
@@ -283,31 +299,31 @@ class TestIndicesCommand:
         ],
         ids=["long lone CR", "wide lone CR", "indicators lone CR", "long field limit"],
     )
-    def test_unsplittable_csv_exits_2(self, capsys, tmp_path, argv, content, where):
+    def test_unsplittable_csv_exits_2(self, tmp_path, argv, content, where):
         path = tmp_path / "bad.csv"
         path.write_bytes(content.encode())
-        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        code, out, err = run_main([argv[0], "--input", str(path), *argv[1:]])
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {where}")
 
-    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+    def test_byte_order_mark_is_dropped(self, tmp_path):
         text = "scientist,citations\na,5\na,3\nb,2\n"
         outputs = []
         for encoding in ("utf-8", "utf-8-sig"):
             path = tmp_path / f"{encoding}.csv"
             path.write_text(text, encoding=encoding)
-            outputs.append(run_cli(capsys, "indices", "--input", str(path), "--json"))
+            outputs.append(run_main(["indices", "--input", str(path), "--json"]))
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
 
-    def test_missing_file_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "indices", "--input", "/no/such/file.csv")
+    def test_missing_file_exits_2(self):
+        code, _, err = run_main(["indices", "--input", "/no/such/file.csv"])
         assert code == 2
         assert "error" in err
 
-    def test_usage_error_exits_2(self, capsys):
+    def test_usage_error_exits_2(self):
         for argv in (
             ["indices", "--fixture", "--json", "--csv"],
             # options a command does not act on are refused before any work
@@ -315,25 +331,22 @@ class TestIndicesCommand:
             ["cfa", "--fixture", "--csv"],
             ["bootstrap", "--fixture", "--csv"],
         ):
-            with pytest.raises(SystemExit) as info:
-                main(argv)
-            assert info.value.code == 2
-            assert capsys.readouterr().out == ""
+            assert run_main(argv)[:2] == (2, "")
 
 
 class TestDescribeCommand:
-    def test_fixture_matches_published_moments(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "describe", "--fixture", "--transform", "raw"
-        )
+    def test_fixture_matches_published_moments(self):
+        code, out, _ = run_main([
+            "describe", "--fixture", "--transform", "raw"
+        ])
         assert code == 0
         assert "14.88" in out  # mean of h
         assert "23.25" in out  # median of m
         assert "0.186" in out  # KS D of h against the fitted normal
 
-    def test_json_and_text_agree_after_rounding(self, capsys):
-        _, text, _ = run_cli(capsys, "describe", "--fixture")
-        _, raw, _ = run_cli(capsys, "describe", "--fixture", "--json")
+    def test_json_and_text_agree_after_rounding(self):
+        _, text, _ = run_main(["describe", "--fixture"])
+        _, raw, _ = run_main(["describe", "--fixture", "--json"])
         payload = load_payload(raw)
         mean_line = next(
             line for line in text.splitlines() if line.startswith("mean")
@@ -344,9 +357,9 @@ class TestDescribeCommand:
                 round(payload[variable]["mean"], 2), abs=1e-9
             )
 
-    def test_csv_is_the_json_at_repr_precision(self, capsys):
-        payload = json_payload(capsys, "describe", "--fixture")
-        code, out, _ = run_cli(capsys, "describe", "--fixture", "--csv")
+    def test_csv_is_the_json_at_repr_precision(self):
+        payload = json_payload("describe", "--fixture")
+        code, out, _ = run_main(["describe", "--fixture", "--csv"])
         assert code == 0
         header, *rows = out.splitlines()
         assert header == "statistic,h,m,g,h2,A,R,hw"
@@ -355,15 +368,15 @@ class TestDescribeCommand:
             name, *cells = row.split(",")
             assert cells == [repr(payload[v][name]) for v in VARIABLE_SETS["7"]]
 
-    def test_json_keys(self, capsys):
-        payload = json_payload(capsys, "describe", "--fixture")
+    def test_json_keys(self):
+        payload = json_payload("describe", "--fixture")
         assert list(payload) == list(VARIABLE_SETS["7"])
         assert all(list(stats) == DESCRIBE_STATS for stats in payload.values())
 
-    def test_fixed_df_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "describe", "--fixture", "--df", "25", "--json"
-        )
+    def test_fixed_df_flag(self):
+        code, out, _ = run_main([
+            "describe", "--fixture", "--df", "25", "--json"
+        ])
         payload = load_payload(out)
         # with df = n - 1 the Student reference is nearly normal
         assert payload["h"]["D_student"] == pytest.approx(
@@ -377,7 +390,7 @@ class TestDescribeCommand:
         ("ln", {2: "collapsed", 4: "zero"}, "no admissible Student fit for this sample"),
         ("ln", {2: "zero", 4: "collapsed"}, "ln transform requires positive values"),
     ])
-    def test_first_failing_column_decides_the_error(self, capsys, tmp_path, transform,
+    def test_first_failing_column_decides_the_error(self, tmp_path, transform,
                                                     columns, message):
         # the error a per-column loop meets first, though the fits are stacked
         rng = np.random.default_rng(3)
@@ -396,8 +409,8 @@ class TestDescribeCommand:
         lines += [f"s{i}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
         path = tmp_path / "indicators.csv"
         path.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(capsys, "describe", "--input", str(path), "--format",
-                                 "indicators", "--transform", transform)
+        code, out, err = run_main(["describe", "--input", str(path), "--format",
+                                   "indicators", "--transform", transform])
         assert (code, out) == (2, "")
         # a transform error names its column, here the third, g
         prefix = "column 'g': " if "transform" in message else ""
@@ -408,7 +421,7 @@ class TestDescribeCommand:
         ("efa", "column 'A' is constant"),
     ])
     @pytest.mark.parametrize("transform", ["raw", "ln", "ln1p", "sqrt"])
-    def test_constant_column_exits_2(self, capsys, tmp_path, command, message, transform):
+    def test_constant_column_exits_2(self, tmp_path, command, message, transform):
         # ln of 26 values of 2.0 has an sd of 1e-16, not 0: still constant
         table = fixture_table()
         values = table.values.copy()
@@ -416,24 +429,24 @@ class TestDescribeCommand:
         path = tmp_path / "indicators.csv"
         path.write_text(indicator_table_to_csv(
             IndicatorTable(table.labels, table.columns, values)))
-        code, out, err = run_cli(capsys, command, "--input", str(path), "--format",
-                                 "indicators", "--transform", transform)
+        code, out, err = run_main([command, "--input", str(path), "--format",
+                                   "indicators", "--transform", transform])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_one_row_exits_2(self, capsys, tmp_path):
+    def test_one_row_exits_2(self, tmp_path):
         path = tmp_path / "indicators.csv"
         path.write_text("scientist,h,g\na,5,7\n")
-        code, out, err = run_cli(capsys, "describe", "--input", str(path), "--format",
-                                 "indicators", "--vars", "h,g")
+        code, out, err = run_main(["describe", "--input", str(path), "--format",
+                                   "indicators", "--vars", "h,g"])
         assert (code, out, err) == (2, "", "error: need at least 2 observations\n")
 
 
 class TestEfaCommand:
-    def test_varimax_json_matches_published_loadings(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "efa", "--fixture", "--vars", "7", "--transform", "raw",
+    def test_varimax_json_matches_published_loadings(self):
+        code, out, _ = run_main([
+            "efa", "--fixture", "--vars", "7", "--transform", "raw",
             "--rotation", "varimax", "--json",
-        )
+        ])
         assert code == 0
         payload = load_payload(out)
         computed = np.array(payload["loadings"])
@@ -444,10 +457,10 @@ class TestEfaCommand:
         assert np.abs(computed - expected).max() <= 0.03
         assert payload["kmo"] == pytest.approx(0.737, abs=0.005)
 
-    def test_promax_includes_structure_and_phi(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "efa", "--fixture", "--rotation", "promax", "--json"
-        )
+    def test_promax_includes_structure_and_phi(self):
+        code, out, _ = run_main([
+            "efa", "--fixture", "--rotation", "promax", "--json"
+        ])
         payload = load_payload(out)
         assert "structure" in payload and "phi" in payload
         phi = np.array(payload["phi"])
@@ -459,8 +472,8 @@ class TestEfaCommand:
         # an oblique solution appends its structure and factor correlations
         ("promax", ["structure", "phi"]),
     ])
-    def test_json_is_the_results_dicts(self, capsys, rotation, extra):
-        payload = json_payload(capsys, "efa", "--fixture", "--rotation", rotation)
+    def test_json_is_the_results_dicts(self, rotation, extra):
+        payload = json_payload("efa", "--fixture", "--rotation", rotation)
         assert list(payload) == EFA_KEYS + extra + ["memberships"]
         variables = VARIABLE_SETS["7"]
         result = efa_pipeline(fixture_columns(variables), variables,
@@ -469,17 +482,17 @@ class TestEfaCommand:
             expected = strict_json(part)
             assert {k: payload[k] for k in expected} == expected
 
-    def test_text_output_sections(self, capsys):
-        code, out, _ = run_cli(capsys, "efa", "--fixture")
+    def test_text_output_sections(self):
+        code, out, _ = run_main(["efa", "--fixture"])
         assert "KMO" in out
         assert "varimax loadings" in out
         assert "communalities" in out
         assert "variance explained" in out
         assert "structure" not in out and "factor correlations" not in out
 
-    def test_promax_text_has_structure_and_factor_correlations(self, capsys):
-        payload = json_payload(capsys, "efa", "--fixture", "--rotation", "promax")
-        code, out, _ = run_cli(capsys, "efa", "--fixture", "--rotation", "promax")
+    def test_promax_text_has_structure_and_factor_correlations(self):
+        payload = json_payload("efa", "--fixture", "--rotation", "promax")
+        code, out, _ = run_main(["efa", "--fixture", "--rotation", "promax"])
         assert code == 0
         blocks = {block.split("\n", 1)[0]: block for block in out.split("\n\n")}
         assert "promax loadings (pattern)" in blocks
@@ -493,68 +506,68 @@ class TestEfaCommand:
             for i, row in enumerate(payload["phi"])
         ]
 
-    def test_one_factor_promax_is_its_varimax_solution(self, capsys):
-        varimax = json_payload(capsys, "efa", "--fixture", "--factors", "1")
-        promax = json_payload(capsys, "efa", "--fixture", "--factors", "1",
+    def test_one_factor_promax_is_its_varimax_solution(self):
+        varimax = json_payload("efa", "--fixture", "--factors", "1")
+        promax = json_payload("efa", "--fixture", "--factors", "1",
                               "--rotation", "promax")
         assert promax["phi"] == [[1.0]]
         assert promax["loadings"] == varimax["loadings"]
         assert promax["structure"] == varimax["loadings"]
 
-    def test_csv_is_the_rotated_loadings(self, capsys):
-        payload = json_payload(capsys, "efa", "--fixture")
-        code, out, _ = run_cli(capsys, "efa", "--fixture", "--csv")
+    def test_csv_is_the_rotated_loadings(self):
+        payload = json_payload("efa", "--fixture")
+        code, out, _ = run_main(["efa", "--fixture", "--csv"])
         assert code == 0
         assert out.splitlines() == ["variable,F1,F2"] + [
             ",".join([v, *map(repr, row)])
             for v, row in zip(payload["variables"], payload["loadings"])
         ]
 
-    def test_custom_variable_list(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "efa", "--fixture", "--vars", "h,g,A,R", "--json"
-        )
+    def test_custom_variable_list(self):
+        code, out, _ = run_main([
+            "efa", "--fixture", "--vars", "h,g,A,R", "--json"
+        ])
         assert code == 0
         assert load_payload(out)["variables"] == ["h", "g", "A", "R"]
 
-    def test_unknown_variable_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "efa", "--fixture", "--vars", "h,xx")
+    def test_unknown_variable_exits_2(self):
+        code, _, err = run_main(["efa", "--fixture", "--vars", "h,xx"])
         assert code == 2
         assert "xx" in err
 
 
 @pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
-def test_transform_error_names_its_column(capsys, tmp_path, command):
+def test_transform_error_names_its_column(tmp_path, command):
     table = fixture_table()
     values = table.values.copy()
     values[2, table.columns.index("h")] = 0.0
     path = tmp_path / "indicators.csv"
     path.write_text(indicator_table_to_csv(IndicatorTable(table.labels, table.columns, values)))
-    code, out, err = run_cli(capsys, command, "--input", str(path), "--format",
-                             "indicators", "--transform", "ln")
+    code, out, err = run_main([command, "--input", str(path), "--format",
+                               "indicators", "--transform", "ln"])
     assert (code, out) == (2, "")
     assert err == ("error: column 'h': ln transform requires positive values; "
                    "got 0.0 at position 2\n")
 
 
 @pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
-def test_repeated_variable_exits_2(capsys, command):
-    code, out, err = run_cli(capsys, command, "--fixture", "--vars", "h,m,h")
+def test_repeated_variable_exits_2(command):
+    code, out, err = run_main([command, "--fixture", "--vars", "h,m,h"])
     assert (code, out, err) == (2, "", "error: indicator 'h' is listed twice\n")
 
 
 @pytest.mark.parametrize("command", ["describe", "efa", "cfa", "bootstrap"])
-def test_empty_variable_list_exits_2(capsys, command):
-    code, out, err = run_cli(capsys, command, "--fixture", "--vars", ",")
+def test_empty_variable_list_exits_2(command):
+    code, out, err = run_main([command, "--fixture", "--vars", ","])
     assert (code, out, err) == (2, "", "error: empty variable list ','\n")
 
 
-def test_warning_filters_still_apply(capsys):
+def test_warning_filters_still_apply():
     # main records warnings as notes but leaves the filters as they are
     with warnings.catch_warnings():
         warnings.simplefilter("error", HeywoodWarning)
         with pytest.raises(HeywoodWarning):
-            main(["efa", "--fixture"])
+            run_main(["efa", "--fixture"])
 
 
 def write_long_corpus(path):
@@ -574,28 +587,28 @@ def write_long_corpus(path):
     ["verify"],
     ["describe", "--input", "corpus.csv", "--vars", "7+NSC", "--transform", "ln1p"],
 ], ids=["bootstrap", "efa", "verify", "describe corpus"])
-def test_no_runtime_warning_and_strict_payload(capsys, tmp_path, monkeypatch, argv):
-    # a filter set in the body, not a mark, so that a run without pytest's
-    # warnings plugin makes the check too
+def test_no_runtime_warning_and_strict_payload(tmp_path, monkeypatch, argv):
+    # main would print a RuntimeWarning as a note: line; the error filter,
+    # which main runs under, makes one raise instead
     monkeypatch.chdir(tmp_path)
     if "corpus.csv" in argv:
         write_long_corpus(tmp_path / "corpus.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        json_payload(capsys, *argv)
+        json_payload(*argv)
 
 
 class TestCfaCommand:
-    def test_default_variables_are_the_paper_model(self, capsys):
-        default = run_cli(capsys, "cfa", "--fixture")
+    def test_default_variables_are_the_paper_model(self):
+        default = run_main(["cfa", "--fixture"])
         assert default[0] == 0
-        assert default[:2] == run_cli(capsys, "cfa", "--fixture", "--vars", "7+NC")[:2]
+        assert default[:2] == run_main(["cfa", "--fixture", "--vars", "7+NC"])[:2]
 
-    def test_fixture_fit(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "cfa", "--fixture", "--vars", "7+NC", "--threshold", "0.7",
+    def test_fixture_fit(self):
+        code, out, _ = run_main([
+            "cfa", "--fixture", "--vars", "7+NC", "--threshold", "0.7",
             "--json",
-        )
+        ])
         assert code == 0
         payload = load_payload(out)
         assert payload["converged"]
@@ -603,8 +616,8 @@ class TestCfaCommand:
         r2 = dict(zip(variables, payload["r_squared"]))
         assert r2["h"] == pytest.approx(0.94, abs=0.1)
 
-    def test_json_is_the_fits_dict(self, capsys):
-        payload = json_payload(capsys, "cfa", "--fixture")
+    def test_json_is_the_fits_dict(self):
+        payload = json_payload("cfa", "--fixture")
         variables = VARIABLE_SETS["7+NC"]
         efa = efa_pipeline(fixture_columns(variables), variables)
         fit = cfa_fit(efa.correlation, fixture_table().n_rows, pattern_from_efa(efa.rotated, 0.7))
@@ -622,32 +635,32 @@ class TestCfaCommand:
             assert all(c is None for c in cells[masked])
             assert all(isinstance(c, float) for c in cells[~masked])
 
-    def test_non_converged_fit_exits_2(self, capsys, monkeypatch):
+    def test_non_converged_fit_exits_2(self, monkeypatch):
         real = cli.cfa_fit
         monkeypatch.setattr(
             cli, "cfa_fit",
             lambda *args: dataclasses.replace(real(*args), converged=False),
         )
-        code, out, err = run_cli(
-            capsys, "cfa", "--fixture", "--vars", "7+NC", "--json"
-        )
+        code, out, err = run_main([
+            "cfa", "--fixture", "--vars", "7+NC", "--json"
+        ])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "did not converge" in err
 
-    def test_threshold_too_high_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "cfa", "--fixture", "--vars", "7", "--threshold", "0.95"
-        )
+    def test_threshold_too_high_exits_2(self):
+        code, _, err = run_main([
+            "cfa", "--fixture", "--vars", "7", "--threshold", "0.95"
+        ])
         assert code == 2
 
     @pytest.mark.parametrize("threshold", ["-1", "nan", "1"])
-    def test_threshold_outside_unit_interval_exits_2(self, capsys, threshold):
-        code, out, err = run_cli(capsys, "cfa", "--fixture", "--threshold", threshold)
+    def test_threshold_outside_unit_interval_exits_2(self, threshold):
+        code, out, err = run_main(["cfa", "--fixture", "--threshold", threshold])
         assert (code, out) == (2, "")
         assert err.splitlines()[0] == "error: threshold must lie in (0, 1)"
 
-    def test_text_cells_are_the_fit(self, capsys, monkeypatch):
+    def test_text_cells_are_the_fit(self, monkeypatch):
         # each row shows the variable's first free loading; a cell without a
         # finite value prints as nan
         real = cli.cfa_fit
@@ -661,7 +674,7 @@ class TestCfaCommand:
             return seen["fit"]
 
         monkeypatch.setattr(cli, "cfa_fit", with_nan_cells)
-        code, out, _ = run_cli(capsys, "cfa", "--fixture")
+        code, out, _ = run_main(["cfa", "--fixture"])
         assert code == 0
         fit, spec = seen["fit"], seen["spec"]
         rows = []
@@ -678,10 +691,10 @@ class TestCfaCommand:
 
 
 class TestBootstrapCommand:
-    def test_small_run(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bootstrap", "--fixture", "--B", "25", "--seed", "7", "--json"
-        )
+    def test_small_run(self):
+        code, out, err = run_main([
+            "bootstrap", "--fixture", "--B", "25", "--seed", "7", "--json"
+        ])
         assert code == 0
         # one note for the clamps of the full-sample fit and the resamples
         assert err == "note: communality exceeded 1 during extraction and was clamped\n"
@@ -693,8 +706,8 @@ class TestBootstrapCommand:
         assert payload["failures"] == {} and payload["n_failed"] == 0
         assert 0 <= payload["n_clamped"] <= 25
 
-    def test_json_is_the_results_dict(self, capsys):
-        payload = json_payload(capsys, "bootstrap", "--fixture", "--B", "20",
+    def test_json_is_the_results_dict(self):
+        payload = json_payload("bootstrap", "--fixture", "--B", "20",
                                "--seed", "3")
         variables = VARIABLE_SETS["7"]
         expected = strict_json(bootstrap_efa(
@@ -705,28 +718,27 @@ class TestBootstrapCommand:
                                  "upper"]
         assert payload == expected
 
-    def test_fewer_rows_than_variables_exits_2(self, capsys, tmp_path):
+    def test_fewer_rows_than_variables_exits_2(self, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("scientist,citations\na,10\na,3\na,7\na,1\nb,5\nb,2\nb,2\n"
                         "c,30\nc,12\nc,9\nc,4\nc,1\n")
         for command in ("efa", "bootstrap"):
-            code, out, err = run_cli(capsys, command, "--input", str(path))
+            code, out, err = run_main([command, "--input", str(path)])
             assert (code, out, err) == (
                 2, "", "error: need more observations than variables\n")
 
-    def test_negative_seed_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bootstrap", "--fixture", "--B", "5", "--seed", "-1"
-        )
+    def test_negative_seed_exits_2(self):
+        code, out, err = run_main([
+            "bootstrap", "--fixture", "--B", "5", "--seed", "-1"
+        ])
         assert code == 2
         assert out == "" and "seed must be non-negative" in err
 
     @pytest.mark.parametrize("command", ["efa", "bootstrap", "cfa", "verify"])
-    def test_help_states_each_default(self, capsys, command):
-        with pytest.raises(SystemExit) as exit_:
-            main([command, "--help"])
-        assert exit_.value.code == 0
-        text = " ".join(capsys.readouterr().out.split())
+    def test_help_states_each_default(self, command):
+        code, out, _ = run_main([command, "--help"])
+        assert code == 0
+        text = " ".join(out.split())
         model = {"--transform": "raw", "--factors": "2"}
         rotation = {"--rotation": "varimax", "--kappa": "3"}
         defaults = {
@@ -742,23 +754,23 @@ class TestBootstrapCommand:
 
 
 class TestVerifyCommand:
-    def test_passes_on_unmodified_build(self, capsys):
-        code, out, _ = run_cli(capsys, "verify")
+    def test_passes_on_unmodified_build(self):
+        code, out, _ = run_main(["verify"])
         assert code == 0
         assert "PASS" in out.splitlines()[-1]
 
-    def test_zero_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--tolerance-scale", "0")
+    def test_zero_tolerance_fails(self):
+        code, out, _ = run_main(["verify", "--tolerance-scale", "0"])
         assert code == 1
         assert "FAIL" in out
         # a scale that is no tolerance at all is a usage error, not a failure
         for scale, shown in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")):
-            assert run_cli(capsys, "verify", "--tolerance-scale", scale) == (
+            assert run_main(["verify", "--tolerance-scale", scale]) == (
                 2, "", "error: tolerance scale must be finite and non-negative, "
                        f"got {shown}\n")
 
-    def test_json_report(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--json")
+    def test_json_report(self):
+        code, out, _ = run_main(["verify", "--json"])
         payload = load_payload(out)
         assert payload["overall_pass"] is True
         assert payload["n_binding"] > 500

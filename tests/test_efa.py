@@ -355,6 +355,23 @@ class TestPromax:
         with pytest.raises(SingularMatrixError):
             promax(tagged)
 
+    @pytest.mark.parametrize("kappa", [0, np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x, labels, kappa: promax(
+            varimax(uls_extract(correlation_matrix(x, labels))[0])[0], kappa),
+        lambda x, labels, kappa: efa_pipeline(x, labels, rotation="promax", kappa=kappa),
+        lambda x, labels, kappa: bootstrap_efa(x, labels, rotation="promax", n_boot=5,
+                                               kappa=kappa),
+    ], ids=["promax", "efa_pipeline", "bootstrap_efa"])
+    def test_kappa_outside_one_to_infinity_rejected(self, fixture, call, kappa):
+        # NaN passes a test of kappa < 1 and gave NaN loadings; inf gave a
+        # bare LinAlgError
+        sub = fixture.subset(SEVEN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeywoodWarning)
+            with pytest.raises(ValidationError, match="^kappa must be a finite exponent >= 1"):
+                call(sub.values, sub.columns, kappa)
+
 
 class TestAdequacy:
     def test_kmo_identity_degenerate(self):
@@ -392,6 +409,27 @@ class TestAdequacy:
 
         with pytest.raises(InsufficientDataError):
             bartlett(CorrelationMatrix(("a", "b"), np.eye(2)), 2)
+
+    @pytest.mark.parametrize("seed, sign", [(0, -1.0), (1, 1.0)])
+    def test_collinear_table_is_singular_to_every_check(self, seed, sign):
+        # the smallest eigenvalue of a, b, a + b, c is rounding noise of
+        # either sign; bartlett and cfa_fit once followed that sign, and
+        # seed 1 gave chi2 = 819 and a converged cfa fit
+        from bibfactor import SingularMatrixError
+        from bibfactor.cfa import PatternSpec, cfa_fit
+
+        a, b, c = np.random.default_rng(seed).normal(size=(3, 26))
+        labels = ("a", "b", "ab", "c")
+        corr = correlation_matrix(np.column_stack([a, b, a + b, c]), labels)
+        assert np.sign(corr.eigenvalues[-1]) == sign
+        assert abs(corr.eigenvalues[-1]) < 1e-15
+        with pytest.raises(SingularMatrixError, match="^matrix is numerically singular$"):
+            bartlett(corr, 26)
+        with pytest.raises(SingularMatrixError, match="^matrix is numerically singular$"):
+            kmo(corr)
+        spec = PatternSpec(labels, np.ones((4, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
+        with pytest.raises(ValidationError, match="positive definite"):
+            cfa_fit(corr, 26, spec)
 
     def test_eigenvalue_rule_helper(self, fixture):
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw"))
@@ -862,6 +900,39 @@ def test_unaveraged_top_eigenpairs_equal_sorted_eigh(fixture, monkeypatch):
         want_values, want_vectors = _sorted_eigh(m)
         assert values.tobytes() == want_values[..., :k].tobytes()
         assert vectors.tobytes() == want_vectors[..., :k].tobytes()
+
+
+def test_extraction_failing_mid_stack_fails_only_its_matrix(fixture, monkeypatch):
+    # two matrices fail at the second iterate, the first decomposition of a
+    # reduced matrix, while the rest of their stack iterates on
+    sub = fixture.subset(SEVEN)
+    indices = np.random.default_rng(31).integers(0, sub.n_rows, size=(20, sub.n_rows))
+    tables = [sub.values[rows] for rows in indices]
+    off = ~np.eye(len(SEVEN), dtype=bool)
+    poisoned = {correlation_matrix(tables[b], SEVEN).values[off].tobytes(): b for b in (5, 9)}
+
+    def flaky(m, k=None, kernel=efa._top_eigh):
+        # only the extraction asks for the top k pairs
+        if k is not None:
+            for matrix in m.reshape(-1, *m.shape[-2:]):
+                b = poisoned.get(matrix[off].tobytes())
+                if b is not None:
+                    raise np.linalg.LinAlgError(f"resample {b}")
+        return kernel(m, k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeywoodWarning)
+        with monkeypatch.context() as patch:
+            patch.setattr(efa, "_top_eigh", flaky)
+            # the first failing table in table order raises
+            with pytest.raises(np.linalg.LinAlgError, match="^resample 5$"):
+                _pipelines(tables[3:12], SEVEN, ExtractionSettings(), "varimax", 3)
+            failing = bootstrap_efa(sub.values, SEVEN, n_boot=20, indices=indices)
+        kept = bootstrap_efa(sub.values, SEVEN, n_boot=18,
+                             indices=np.delete(indices, [5, 9], axis=0))
+    assert (failing.n_failed, failing.failures) == (2, {"LinAlgError": 2})
+    for key in ("mean", "sd", "lower", "upper"):
+        assert getattr(failing, key).tobytes() == getattr(kept, key).tobytes(), key
 
 
 class TestGuardedStack:

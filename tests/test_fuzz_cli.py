@@ -1,8 +1,9 @@
 """Seeded fuzz of every input command on mutated long, wide and indicator files.
 
-Each mutated file goes through ``main`` in-process. A run must exit 0 or 2,
-raise nothing, put ``error:`` first on stderr when it exits 2, and finish
-within ``BUDGET_S`` seconds, which ``signal.alarm`` enforces on this process.
+Each mutated file goes through ``cli.main`` in-process, by ``run_main``. A
+run must exit 0 or 2, raise nothing, put ``error:`` first on stderr when it
+exits 2, and finish within ``BUDGET_S`` seconds, which ``signal.alarm``
+enforces on this process.
 """
 
 import csv
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from bibfactor import fixture_table, indicator_table_to_csv
-from bibfactor.cli import main
+from conftest import run_main
 
 BUDGET_S = 1
 PAIRS_PER_FORMAT = 3
@@ -137,7 +138,7 @@ def alarm():
 
 
 @pytest.mark.parametrize("seed", [20261019])
-def test_mutated_inputs_exit_cleanly(capsys, tmp_path, alarm, seed):
+def test_mutated_inputs_exit_cleanly(tmp_path, alarm, seed):
     failures = []
     for name, fmt, data, options in _mutated_inputs(seed):
         path = tmp_path / "input.csv"
@@ -148,14 +149,13 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path, alarm, seed):
             argv = [command[0], "--input", str(path), *options, *command[1:]]
             signal.alarm(BUDGET_S)
             try:
-                code = main(argv)
+                code, _, err = run_main(argv)
             except _OverBudget:
-                code = "over budget"
+                code, err = "over budget", ""
             except Exception as exc:  # the failure is recorded with its input
-                code = repr(exc)
+                code, err = repr(exc), ""
             finally:
                 signal.alarm(0)
-            err = capsys.readouterr().err
             if code not in (0, 2) or (code == 2 and not err.startswith("error: ")):
                 failures.append((name, command[0], code, err[:200]))
     assert not failures

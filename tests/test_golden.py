@@ -1,24 +1,23 @@
 """Golden outputs of the ingest, analysis and usage-error commands.
 
-Each command runs in-process through ``cli.main``; its stdout, stderr and
-exit code must match ``tests/golden`` byte for byte. ``cli.main`` prints
-every warning a command raises as a ``note:`` line, so a stderr golden also
-pins that no other warning, numpy's floating-point ones included, was
-raised, with or without pytest's warning capture. The inputs are small
-committed files, so no random stream decides what is compared.
+Each command runs in-process through ``conftest.run_main``; its stdout,
+stderr and exit code must match ``tests/golden`` byte for byte. ``cli.main``
+prints every warning a command raises as a ``note:`` line, so a stderr golden
+also pins that no other warning, numpy's floating-point ones included, was
+raised, and ``run_main`` fails on any warning that escapes ``main``. The
+inputs are small committed files, so no random stream decides what is
+compared.
 
 After an intended output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why each one moved.
 """
 
-import contextlib
-import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from bibfactor.cli import main
+from conftest import run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -94,14 +93,6 @@ COMMANDS.update({
 })
 
 
-def run(argv):
-    """Exit code, stdout and stderr of ``cli.main`` on ``argv``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _read(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return handle.read()
@@ -110,7 +101,7 @@ def _read(path):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_golden_output(name):
     argv, expected_code = COMMANDS[name]
-    code, out, err = run(argv)
+    code, out, err = run_main(argv)
     assert code == expected_code
     assert out == _read(GOLDEN / f"{name}.stdout")
     assert err == _read(GOLDEN / f"{name}.stderr")
@@ -118,7 +109,7 @@ def test_golden_output(name):
 
 if __name__ == "__main__":
     for name, (argv, expected_code) in COMMANDS.items():
-        code, out, err = run(argv)
+        code, out, err = run_main(argv)
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
         for suffix, text in ((".stdout", out), (".stderr", err)):

@@ -233,6 +233,15 @@ class TestParseCitationsLongEquivalence:
         assert _parsed(text) == _parsed(lf) == oracle_parse_citations_long(text)
         assert tables.citation_table(text) == tables.citation_table(lf)
 
+    def test_sort_key_beyond_int64_takes_the_row_reader(self):
+        # 10 labels times (10**18 - 1) + 1 pass 2**63: the label-major sort
+        # key would wrap, and the columnar path hands the text on
+        text = HEADER + f"s0,{10**18 - 1}\n" + "".join(f"s{i},5\ns{i},7\n" for i in range(10))
+        assert tables._parse_long_columns(text) is None
+        assert _parsed(text) == oracle_parse_citations_long(text)
+        with pytest.raises(ValidationError, match=r"^record 's0': more than 2\*\*53 "):
+            tables.citation_table(text)
+
     @pytest.mark.parametrize("block_chars", [1 << 16, 64])
     def test_blank_lines_across_blocks(self, monkeypatch, block_chars):
         monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)

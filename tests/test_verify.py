@@ -191,8 +191,9 @@ class TestStackedStages:
         assert pairs == 12
 
     def test_warnings_are_one_per_clamp(self):
-        # 12 clamped extractions and one CFA uniqueness on its bound; the
-        # count also holds without pytest's warning capture (see the CI)
+        # 12 clamped extractions and one CFA uniqueness on its bound, counted
+        # under a filter of this test's own, so no outer filter or capture
+        # moves the count
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_verification()
