@@ -2,6 +2,7 @@ import contextlib
 import io
 import warnings
 
+import numpy as np
 import pytest
 
 from bibfactor import normalize_record
@@ -30,6 +31,21 @@ def run_main(argv):
         pytest.fail(f"main({argv}) let warnings escape: "
                     f"{[str(w.message) for w in caught]}")
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def numpy_state_kept():
+    """Fail a test that leaves numpy's ufunc buffer size or floating-point
+    error handling other than it found them. Both are global to the thread,
+    so a change would carry over into every later test; it is undone before
+    the failure is reported."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    after = np.getbufsize(), np.geterr()
+    if after != before:
+        np.setbufsize(before[0])
+        np.seterr(**before[1])
+        pytest.fail(f"numpy state (bufsize, errors) went from {before} to {after}")
 
 
 @pytest.fixture

@@ -80,6 +80,12 @@ COMMANDS.update({
     **{f"describe-fixture-7nsc-{t}": (
         ["describe", "--fixture", "--vars", "7+NSC", "--transform", t], 0)
        for t in ("raw", "ln", "ln1p", "sqrt")},
+    # 150 scientists: describe's Student-t EM runs with a one-row ufunc buffer
+    "describe-long150-7nsc-ln1p": (
+        ["describe", *_input("long_150.csv"), "--vars", "7+NSC", "--transform", "ln1p"], 0),
+    "efa-long150-7nsc-ln1p-promax": (
+        ["efa", *_input("long_150.csv"), "--vars", "7+NSC", "--transform", "ln1p",
+         "--rotation", "promax"], 0),
     "cfa-fixture": (["cfa", "--fixture"], 0),
     "cfa-fixture-7-ln-06": (
         ["cfa", "--fixture", "--vars", "7", "--transform", "ln", "--threshold", "0.6"], 0),

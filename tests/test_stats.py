@@ -292,17 +292,64 @@ class TestStackedStudentFits:
         # verify runs them: the first block ends inside column 13
         assert _stacked_fits([x for columns in tables for x in columns]) == want
 
-    @pytest.mark.parametrize("n", [26, 327, 328, 1337, 2000])
+    @pytest.mark.parametrize("n", [26, 127, 128, 327, 328, 1337, 2000])
     def test_t_draws_across_column_boundaries(self, n):
-        # blocks of 65,536 // n = 2,520, 200, 199, 49 and 32 candidates; the
-        # 13 columns make at least two blocks at every n. At n = 327 they
-        # align with the columns, elsewhere they cross them, and the last
-        # block is a short one
+        # blocks of 65,536 // n = 2,520, 516, 512, 200, 199, 49 and 32
+        # candidates; the 13 columns make at least two blocks at every n. At
+        # n = 327 they align with the columns, elsewhere they cross them, and
+        # the last block is a short one. From n = 128 on, the blocks run with
+        # a one-row ufunc buffer
         rng = np.random.default_rng(n)
         columns = [rng.standard_t(df=rng.uniform(1.0, 30.0), size=n) * rng.uniform(0.1, 10.0)
                    for _ in range(13)]
         assert 13 * 200 > stats._EM_BLOCK_CELLS // n
         assert _stacked_fits(columns) == [oracle_student_ml(x) for x in columns]
+
+    def test_rows_longer_than_the_default_buffer(self, monkeypatch):
+        # n = 8,200 passes numpy's default 8,192-element buffer, so the EM
+        # sets a one-row buffer only under a caller's larger one; that fit
+        # equals the fit with the one-row buffer switched off
+        rng = np.random.default_rng(8200)
+        columns = [rng.standard_t(df=4.0, size=8200) * 3.0]
+        previous = np.setbufsize(16384)
+        try:
+            one_row = _stacked_fits(columns)
+            monkeypatch.setattr(stats, "_ROW_BUFFER_MIN", 8201)
+            assert _stacked_fits(columns) == one_row
+        finally:
+            np.setbufsize(previous)
+
+    @pytest.mark.parametrize("caller_bufsize", [8192, 4096])
+    def test_buffer_size_is_restored(self, caller_bufsize):
+        # numpy's default size, and a caller's own
+        rng = np.random.default_rng(5)
+        columns = [rng.standard_t(df=3.0, size=200) for _ in range(2)]
+        previous = np.setbufsize(caller_bufsize)
+        try:
+            _stacked_fits(columns)
+            assert np.getbufsize() == caller_bufsize
+        finally:
+            np.setbufsize(previous)
+
+    def test_buffer_size_is_restored_when_a_block_raises(self, monkeypatch):
+        em_block, seen = stats._em_block, []
+
+        def second_block_raises(*args):
+            seen.append(np.getbufsize())
+            if len(seen) == 2:
+                raise RuntimeError("block failed")
+            em_block(*args)
+
+        monkeypatch.setattr(stats, "_em_block", second_block_raises)
+        rng = np.random.default_rng(6)
+        columns = [rng.standard_t(df=3.0, size=200) for _ in range(2)]
+        before = np.getbufsize()
+        with pytest.raises(RuntimeError, match="block failed"):
+            _stacked_fits(columns)
+        # 400 candidates in blocks of 65,536 // 200 = 327, each run with a
+        # buffer of one 208-element row
+        assert seen == [208, 208]
+        assert np.getbufsize() == before
 
     def test_tied_column_rejects_collapsed_candidates(self):
         rng = np.random.default_rng(4)
@@ -354,6 +401,12 @@ class TestColumnSummaries:
         rng = np.random.default_rng(8)
         columns = [rng.standard_t(4, size=n) for n in (26, 40, 26, 3, 40)]
         assert column_summaries(iter(columns)) == _summary_loop(columns)
+
+    def test_columns_on_both_sides_of_the_row_buffer_rule(self):
+        # n = 26 runs with numpy's default ufunc buffer, n = 2,000 with one row
+        rng = np.random.default_rng(9)
+        columns = [rng.standard_t(4, size=n) for n in (26, 2000, 26, 2000)]
+        assert column_summaries(columns) == _summary_loop(columns)
 
     @pytest.mark.parametrize("bad, n", [
         ([2.0] * 26, 26),
