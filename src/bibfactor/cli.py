@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .cfa import cfa_fit, pattern_from_efa
 from .efa import (
+    ROTATIONS,
     ExtractionSettings,
     adequacy,
     bootstrap_efa,
@@ -47,7 +48,6 @@ from .tables import (
     format_number,
     indicator_table_to_csv,
     parse_indicator_table,
-    render_text_table,
 )
 from .verify import run_verification
 
@@ -65,7 +65,7 @@ def _add_input_options(parser, formats=("long", "wide", "indicators")):
     group.add_argument("--input", metavar="PATH", help="CSV input file")
     parser.add_argument("--format", choices=formats, default="long",
                         help="input file format (default: long)")
-    parser.add_argument("--g-convention", choices=["padded", "capped"],
+    parser.add_argument("--g-convention", choices=[c.value for c in GConvention],
                         default="padded",
                         help="g-index beyond the paper count, for citation "
                              "input (default: padded)")
@@ -82,7 +82,7 @@ def _add_model_options(parser, factors=True):
     parser.add_argument("--vars", default="7",
                         help="variable set: 7, 7+NS, 7+NC, 7+NSC or a "
                              "comma-separated list (default: %(default)s)")
-    parser.add_argument("--transform", choices=["raw", "ln", "ln1p", "sqrt"],
+    parser.add_argument("--transform", choices=[t.value for t in Transform],
                         default="raw",
                         help="transform applied to every variable "
                              "(default: %(default)s)")
@@ -92,7 +92,7 @@ def _add_model_options(parser, factors=True):
 
 
 def _add_rotation_options(parser):
-    parser.add_argument("--rotation", choices=["none", "varimax", "promax"],
+    parser.add_argument("--rotation", choices=ROTATIONS,
                         default="varimax",
                         help="factor rotation (default: %(default)s)")
     parser.add_argument("--kappa", type=int, choices=[2, 3, 4], default=3,
@@ -141,8 +141,7 @@ def _load_table(args):
 def _model_input(args):
     """Columns, labels and transform of a describe/efa/cfa/bootstrap run."""
     variables = _resolve_vars(args.vars)
-    table = _load_table(args)
-    values = np.column_stack([table.column(v) for v in variables])
+    values = _load_table(args).subset(variables).values
     return values, variables, Transform(args.transform)
 
 
@@ -165,13 +164,19 @@ def _csv(header, rows):
 
 def _table(headers, labels, values, decimals=3):
     """A text table: the columns in ``labels``, then ``values`` at ``decimals``,
-    which broadcasts: one number, one per column, or per row as ``[[d], ...]``."""
+    which broadcasts: one number, one per column, or per row as ``[[d], ...]``.
+    Columns are at least 6 wide, the first left-aligned and the rest right."""
     values = np.asarray(values, dtype=float)
     places = np.broadcast_to(decimals, values.shape).tolist()
-    return render_text_table(headers, [
+    rows = [headers] + [
         [*cells, *map(format_number, row, nd)]
         for cells, row, nd in zip(zip(*labels), values.tolist(), places)
-    ])
+    ]
+    widths = [max(6, *map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join([first.ljust(widths[0]), *map(str.rjust, rest, widths[1:])]).rstrip()
+             for first, *rest in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def _cmd_indices(args):

@@ -57,6 +57,8 @@ _VARIMAX_MAX_SWEEPS = 1000
 # resampled (n, p) tables are correlated cells // (n p) at a time, and the
 # p x p chain runs on stacks of cells // (p p) correlation matrices
 _BOOTSTRAP_CELLS = 32_768
+# rotation tags of a loading matrix, in the order the command line lists them
+ROTATIONS = ("none", "varimax", "promax")
 
 
 def _swap(a):
@@ -381,7 +383,7 @@ class LoadingMatrix:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(labels):
             raise ValidationError("loading matrix shape does not match labels")
-        if self.rotation not in ("none", "varimax", "promax"):
+        if self.rotation not in ROTATIONS:
             raise ValidationError(f"unknown rotation tag {self.rotation!r}")
         v.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -843,7 +845,7 @@ def efa_pipeline(
         and may exceed the number of variables); ``variance_explained`` is
         ``ss_loadings / p``.
     """
-    if rotation not in ("none", "varimax", "promax"):
+    if rotation not in ROTATIONS:
         raise ValidationError(f"unknown rotation {rotation!r}")
     x = np.asarray(table, dtype=float)
     xt = np.column_stack(list(transform_columns(x, variables, transform)))

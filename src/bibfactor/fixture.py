@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 
 from .errors import ValidationError
-from .tables import IndicatorTable, indicator_table_to_csv
+from .tables import VARIABLE_SETS, IndicatorTable, indicator_table_to_csv
 
 APPENDIX_COLUMNS = ("g", "h2", "h", "A", "m", "R", "hw", "N", "S", "C")
 
@@ -149,11 +149,9 @@ KMO_EXPANDED = {
     ("7+NC", "ln"): 0.819,
 }
 
-_SEVEN = ("h", "m", "g", "h2", "A", "R", "hw")
-
 VARIMAX_TABLES = {
     "table3": {
-        "variables": _SEVEN,
+        "variables": VARIABLE_SETS["7"],
         "loadings": {
             "raw": {
                 "h": (0.842, 0.522), "m": (0.752, 0.597), "g": (0.722, 0.691),
@@ -182,7 +180,7 @@ VARIMAX_TABLES = {
         },
     },
     "table5": {
-        "variables": _SEVEN + ("N", "S"),
+        "variables": VARIABLE_SETS["7+NS"],
         "loadings": {
             "raw": {
                 "h": (0.815, 0.545), "m": (0.855, 0.436), "g": (0.902, 0.434),
@@ -207,7 +205,7 @@ VARIMAX_TABLES = {
         },
     },
     "table6": {
-        "variables": _SEVEN + ("N", "C"),
+        "variables": VARIABLE_SETS["7+NC"],
         "loadings": {
             "raw": {
                 "h": (0.827, 0.536), "m": (0.729, 0.620), "g": (0.745, 0.666),
@@ -235,7 +233,7 @@ VARIMAX_TABLES = {
 
 PROMAX_TABLES = {
     "table4": {
-        "variables": _SEVEN,
+        "variables": VARIABLE_SETS["7"],
         "kappa": 3,
         "loadings": {
             "raw": {
@@ -261,7 +259,7 @@ PROMAX_TABLES = {
         },
     },
     "table7": {
-        "variables": _SEVEN + ("N", "C"),
+        "variables": VARIABLE_SETS["7+NC"],
         "kappa": 3,
         "loadings": {
             "raw": {
@@ -290,7 +288,7 @@ PROMAX_TABLES = {
 
 COMMUNALITY_TABLES = {
     "tableA4": {
-        "variables": _SEVEN,
+        "variables": VARIABLE_SETS["7"],
         "values": {
             "raw": {"h": 0.981, "m": 0.921, "g": 0.998, "h2": 0.949,
                     "A": 0.999, "R": 0.999, "hw": 0.999},
@@ -303,7 +301,7 @@ COMMUNALITY_TABLES = {
         },
     },
     "tableA5": {
-        "variables": _SEVEN + ("N", "C"),
+        "variables": VARIABLE_SETS["7+NC"],
         "values": {
             "raw": {"h": 0.971, "m": 0.916, "g": 0.998, "h2": 0.939,
                     "A": 0.953, "R": 0.999, "hw": 0.999, "N": 0.835, "C": 0.999},

@@ -1,4 +1,4 @@
-"""Indicator tables, CSV ingestion and rendering helpers.
+"""Indicator tables, CSV ingestion and number formatting.
 
 Two citation-input formats are supported. The long format is canonical:
 a ``scientist,citations`` header followed by one publication per line. The
@@ -29,7 +29,7 @@ from .indices import (
 
 _COLUMN_ALIASES = {"h(2)": "h2", "h_w": "hw", "hW": "hw"}
 
-# variable sets accepted by the command line, in presentation order
+# the paper's variable sets by command-line name, in presentation order
 VARIABLE_SETS = {
     "7": ("h", "m", "g", "h2", "A", "R", "hw"),
     "7+NS": ("h", "m", "g", "h2", "A", "R", "hw", "N", "S"),
@@ -402,25 +402,6 @@ def table_from_records(records, convention=GConvention.PADDED):
     return IndicatorTable(labels, INDICATOR_COLUMNS, indicator_rows(
         labels, *record_arrays(records), convention
     ))
-
-
-def render_text_table(headers, rows):
-    """Monospace table: headers plus pre-formatted cell strings."""
-    columns = [headers] + [[str(c) for c in row] for row in rows]
-    widths = [
-        max(6, *(len(row[j]) for row in columns))
-        for j in range(len(headers))
-    ]
-    lines = []
-    for i, row in enumerate(columns):
-        cells = [
-            row[j].ljust(widths[j]) if j == 0 else row[j].rjust(widths[j])
-            for j in range(len(headers))
-        ]
-        lines.append("  ".join(cells).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
 
 
 def format_number(value, decimals):

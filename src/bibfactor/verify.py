@@ -298,7 +298,7 @@ def run_verification(tolerance_scale=1.0, fixture_table=None):
     results = {}
     for spec in fx.VARIMAX_TABLES.values():
         variables = spec["variables"]
-        values = np.column_stack([table.column(v) for v in variables])
+        values = table.subset(variables).values
         tables = (np.column_stack(list(transform_columns(values, variables, Transform(key))))
                   for key in spec["loadings"])
         stack = _pipelines(tables, variables, settings, "varimax", kappa=3)

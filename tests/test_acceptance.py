@@ -29,7 +29,7 @@ from oracles import (
     random_record_counts,
 )
 
-SEVEN = ("h", "m", "g", "h2", "A", "R", "hw")
+SEVEN = bf.VARIABLE_SETS["7"]
 
 
 def _emit(number, title, ok, detail=""):
@@ -211,7 +211,7 @@ class TestAcceptance:
         assert worst_eigen <= 1e-8
 
         # promax factor correlations stay positive definite
-        for variables in (SEVEN, SEVEN + ("N", "C")):
+        for variables in (SEVEN, bf.VARIABLE_SETS["7+NC"]):
             sub = fixture.subset(variables)
             result = bf.efa_pipeline(
                 sub.values, sub.columns, bf.Transform.IDENTITY, rotation="promax"

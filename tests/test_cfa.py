@@ -163,6 +163,16 @@ class TestPatternSpec:
         with pytest.raises(SpecificationError):
             PatternSpec(tuple(f"v{i}" for i in range(6)), mask, np.eye(2, dtype=bool))
 
+    @pytest.mark.parametrize("labels, phi, message", [
+        (("v0", "v1"), ~np.eye(2, dtype=bool), "labels do not match the loading mask"),
+        (tuple(f"v{i}" for i in range(6)), ~np.eye(3, dtype=bool), "phi mask must be m x m"),
+        (tuple(f"v{i}" for i in range(6)), np.array([[False, True], [False, False]]),
+         "phi mask must be symmetric"),
+    ])
+    def test_labels_and_phi_mask_checked(self, labels, phi, message):
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            PatternSpec(labels, simple_mask(6, 2), phi)
+
 
 class TestPatternFromEfa:
     def test_threshold_splits_factors(self):

@@ -146,6 +146,29 @@ class TestCorrelationMatrix:
             assert np.array_equal(eigenvalues[i], corr.eigenvalues)
             assert np.array_equal(eigenvectors[i], corr.eigenvectors)
 
+    def test_not_positive_semi_definite_fails_only_its_place_in_a_stack(self):
+        message = "matrix is not positive semi-definite (smallest eigenvalue -8.000e-01)"
+        bad = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        with pytest.raises(ValidationError) as caught:
+            CorrelationMatrix(("a", "b", "c"), bad)
+        assert str(caught.value) == message
+        *_, errors = _checked_correlations(np.stack([np.eye(3), bad]))
+        assert errors[0] is None
+        assert str(errors[1]) == message
+
+    def test_shape_must_match_labels(self):
+        with pytest.raises(ValidationError,
+                           match=r"^correlation matrix shape \(3, 3\) does not match 2 labels$"):
+            CorrelationMatrix(("a", "b"), np.eye(3))
+
+    @pytest.mark.parametrize("table, message", [
+        (np.arange(5.0), "table must be two-dimensional"),
+        (np.ones((5, 3)), "number of labels must match number of columns"),
+    ])
+    def test_table_shape_rejected(self, table, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            correlation_matrix(table, ["a", "b"])
+
     def test_smc_within_unit_interval(self, fixture):
         sub = fixture.subset(("h", "m", "g"))
         corr = correlation_matrix(sub.values, sub.columns)
@@ -226,6 +249,15 @@ class TestUlsExtract:
     def test_max_iter_below_one_rejected(self):
         with pytest.raises(ValidationError, match="max_iter"):
             ExtractionSettings(max_iter=0)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"initial": "pca"}, "initial must be 'ones' or 'smc'"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
+    ])
+    def test_bad_initial_or_tol_rejected(self, field, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExtractionSettings(**field)
 
     def test_heywood_clamp_warns(self, fixture):
         sub = fixture.subset(("h", "m", "g", "h2", "A", "R", "hw", "N", "S"))
@@ -456,6 +488,21 @@ class TestCategorize:
         loadings = LoadingMatrix(("a",), np.array([[0.5, 0.5]]))
         with pytest.raises(ValidationError):
             categorize(loadings, threshold=1.5)
+
+
+class TestLoadingMatrix:
+    @pytest.mark.parametrize("values", [np.ones(2), np.ones((3, 2))])
+    def test_shape_must_match_labels(self, values):
+        with pytest.raises(ValidationError, match="^loading matrix shape does not match labels$"):
+            LoadingMatrix(("a", "b"), values)
+
+    def test_unknown_rotation_tag(self):
+        with pytest.raises(ValidationError, match="^unknown rotation tag 'quartimax'$"):
+            LoadingMatrix(("a", "b"), np.ones((2, 2)), "quartimax")
+
+    def test_communalities_are_row_sums_of_squares(self):
+        loadings = LoadingMatrix(("a", "b"), [[0.6, 0.3], [0.2, -0.5]])
+        assert loadings.communalities() == pytest.approx([0.45, 0.29])
 
 
 class TestAlignLoadings:

@@ -12,6 +12,7 @@ After an intended output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why each one moved.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from conftest import run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+# argparse wraps help text to the terminal width, which it reads from COLUMNS
+COLUMNS = "80"
 
 
 def _input(name):
@@ -99,13 +102,22 @@ COMMANDS.update({
 })
 
 
+# the option lists and choices each command accepts
+COMMANDS.update({
+    "help": (["--help"], 0),
+    **{f"help-{command}": ([command, "--help"], 0)
+       for command in ("indices", "describe", "efa", "cfa", "bootstrap", "verify")},
+})
+
+
 def _read(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return handle.read()
 
 
 @pytest.mark.parametrize("name", COMMANDS)
-def test_golden_output(name):
+def test_golden_output(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     argv, expected_code = COMMANDS[name]
     code, out, err = run_main(argv)
     assert code == expected_code
@@ -114,6 +126,7 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
     for name, (argv, expected_code) in COMMANDS.items():
         code, out, err = run_main(argv)
         if code != expected_code:

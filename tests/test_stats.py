@@ -44,6 +44,14 @@ class TestApplyTransform:
         with pytest.raises(ValidationError, match="number of labels"):
             next(stats.transform_columns(values[:, ::-1], ("b",), Transform.LOG))
 
+    @pytest.mark.parametrize("call", [
+        lambda t: apply_transform([1.0], t),
+        lambda t: list(stats.transform_columns([[1.0]], ("a",), t)),
+    ])
+    def test_transform_must_be_a_transform(self, call):
+        with pytest.raises(ValidationError, match="^unknown transform 'ln'$"):
+            call("ln")
+
     def test_sqrt_domain_error(self):
         with pytest.raises(ValidationError, match="sqrt"):
             apply_transform([4.0, -1.0], Transform.SQRT)
@@ -159,6 +167,10 @@ class TestFitDistspec:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValidationError):
             DistSpec(family="normal", location=0.0, scale=0.0)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown distribution family 'cauchy'$"):
+            DistSpec(family="cauchy", location=0.0, scale=1.0)
 
 
 class TestStudentCdf:

@@ -16,9 +16,11 @@ from bibfactor import (
     parse_indicator_table,
     table_from_records,
 )
+from bibfactor import fixture as fx
 from bibfactor import tables
+from bibfactor.cli import _table
 from bibfactor.fixture import FIXTURE_SHA256, fixture_table
-from bibfactor.tables import format_number, render_text_table
+from bibfactor.tables import format_number
 from oracles import oracle_parse_citations_long
 
 
@@ -538,6 +540,15 @@ class TestFixture:
         assert fixture.columns == ("g", "h2", "h", "A", "m", "R", "hw", "N", "S", "C")
         assert fixture.labels[0] == "A" and fixture.labels[-1] == "Z"
 
+    def test_modified_transcription_fails_its_checksum(self, monkeypatch):
+        # monkeypatch restores both, so later tests read the real fixture
+        rows = list(fx._APPENDIX_ROWS)
+        rows[0] = ("A", 68, *rows[0][2:])
+        monkeypatch.setattr(fx, "_APPENDIX_ROWS", tuple(rows))
+        monkeypatch.setattr(fx, "_cached_table", None)
+        with pytest.raises(ValidationError, match="^embedded fixture failed its checksum"):
+            fixture_table()
+
 
 class TestTableFromRecords:
     def test_matches_indicator_set(self, five_paper_record):
@@ -584,7 +595,7 @@ class TestRendering:
             assert format_number(value, 2) == "nan"
 
     def test_render_alignment(self):
-        text = render_text_table(["name", "x"], [["a", "1.00"], ["bb", "12.50"]])
+        text = _table(["name", "x"], [["a", "bb"]], [[1.0], [12.5]], 2)
         lines = text.splitlines()
         assert lines[0].startswith("name")
         assert lines[2].endswith("1.00")
