@@ -80,7 +80,7 @@ def _add_output_options(parser, formats=("json", "csv")):
 
 def _add_model_options(parser, factors=True):
     parser.add_argument("--vars", default="7",
-                        help="variable set: 7, 7+NS, 7+NC, 7+NSC or a "
+                        help=f"variable set: {', '.join(VARIABLE_SETS)} or a "
                              "comma-separated list (default: %(default)s)")
     parser.add_argument("--transform", choices=[t.value for t in Transform],
                         default="raw",
@@ -390,7 +390,7 @@ def build_parser():
     _add_model_options(p)
     _add_rotation_options(p)
     p.add_argument("--threshold", type=float, default=0.6,
-                   help="categorization threshold (default: 0.6)")
+                   help="categorization threshold (default: %(default)s)")
     _add_output_options(p)
     p.set_defaults(func=_cmd_efa)
 

@@ -832,7 +832,7 @@ def efa_pipeline(
     transform : Transform
         Applied to every column before correlating.
     settings : ExtractionSettings
-    rotation : {"none", "varimax", "promax"}
+    rotation : str, one of :data:`ROTATIONS`
     kappa : int
         Promax exponent, used only for oblique rotation.
 

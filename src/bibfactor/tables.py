@@ -212,15 +212,19 @@ def _parse_long_columns(text):
     order, an int64 array of every count grouped by label and sorted
     non-increasing within each group, and the int64 group bounds, so that
     record i is ``labels[i]`` with ``counts[bounds[i]:bounds[i + 1]]``.
-    These feed :func:`indices.indicator_rows` directly.
+    These feed :func:`indices.indicator_rows` directly. While it reads, it
+    keeps one int64 key per paper: the label code above a low field that
+    holds the count subtracted from the field's maximum, so one sort groups
+    the papers by label, largest count first, and the counts are decoded
+    from the sorted keys in place.
 
     Only canonical text is read here: after the header, every line holds
     exactly one comma and ends in LF or CRLF (the last may end the text),
     no line is blank, every label is non-empty and equal to its ``strip()``,
     and every count is 1 to 18 ASCII digits. None means any other text, or
-    a line or block beyond the csv field size limit, or a sort key beyond
-    int64; the csv row reader then returns the same records or raises the
-    same error.
+    a line or block beyond the csv field size limit, or a count too large
+    for the key's low field; the csv row reader then returns the same
+    records or raises the same error.
     """
     if '"' in text or "\0" in text or (
         "\r" in text and text.count("\r") != text.count("\r\n")
@@ -232,7 +236,11 @@ def _parse_long_columns(text):
         return None
     codes = collections.defaultdict(itertools.count().__next__)
     rows = text.count("\n") + 1
-    key, counts = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    # a label code is below ``rows``, so ``code << shift | low`` stays
+    # below 2**63
+    shift = 63 - rows.bit_length()
+    low = (1 << shift) - 1
+    key = np.empty(rows, np.int64)
     filled = 0
     start = head_end + 1
     while start < len(text):
@@ -246,30 +254,21 @@ def _parse_long_columns(text):
         if not block.endswith("\n"):
             block += "\n"
         values = _block_counts(block)
-        if values is None:
+        if values is None or values.max() > low:
             return None
         n = len(values)
         label_cells = block.replace("\n", ",").split(",")[0:-1:2]
-        key[filled:filled + n] = np.fromiter(map(codes.__getitem__, label_cells), np.int64, n)
-        counts[filled:filled + n] = values
+        code = np.fromiter(map(codes.__getitem__, label_cells), np.int64, n)
+        key[filled:filled + n] = (code << shift) | (low - values)
         filled += n
     labels = list(codes)
     if not labels or not all(label and label == label.strip() for label in labels):
         return None
-    key, counts = key[:filled], counts[:filled]
-    top = int(counts.max()) + 1
-    if len(labels) * top > np.iinfo(np.int64).max:
-        return None
-    # one sort orders by label code, then by count, largest first
-    bounds = np.zeros(len(labels) + 1, np.int64)
-    np.cumsum(np.bincount(key), out=bounds[1:])
-    key *= top
-    key += top - 1
-    key -= counts
-    del counts
+    key = key[:filled]
     key.sort()
-    np.remainder(key, top, out=key)
-    np.subtract(top - 1, key, out=key)
+    bounds = np.searchsorted(key, np.arange(len(labels) + 1) << shift)
+    key &= low
+    np.subtract(low, key, out=key)
     return labels, key, bounds
 
 

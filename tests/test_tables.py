@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,13 +237,45 @@ class TestParseCitationsLongEquivalence:
         assert tables.citation_table(text) == tables.citation_table(lf)
 
     def test_sort_key_beyond_int64_takes_the_row_reader(self):
-        # 10 labels times (10**18 - 1) + 1 pass 2**63: the label-major sort
-        # key would wrap, and the columnar path hands the text on
+        # 22 line feeds leave the sort key a low field of 2**58 - 1, below
+        # 10**18 - 1, so the columnar path hands the text on
         text = HEADER + f"s0,{10**18 - 1}\n" + "".join(f"s{i},5\ns{i},7\n" for i in range(10))
         assert tables._parse_long_columns(text) is None
         assert _parsed(text) == oracle_parse_citations_long(text)
         with pytest.raises(ValidationError, match=r"^record 's0': more than 2\*\*53 "):
             tables.citation_table(text)
+
+    @pytest.mark.parametrize("big, columnar", [(2**53 - 1, True), (2**53, False)])
+    def test_count_at_the_low_field_boundary(self, big, columnar):
+        # 702 line feeds leave the sort key a low field of 2**53 - 1
+        text = HEADER + "".join(f"s{i % 50},{i % 13}\n" for i in range(700)) + f"big,{big}\n"
+        assert text.count("\n") == 702
+        assert (tables._parse_long_columns(text) is not None) == columnar
+        assert tables.citation_table(text) == table_from_records(
+            tables._parse_rows(text, "\n", "long"))
+
+    def test_reader_keeps_one_int64_per_paper(self):
+        """The traced peak of the columnar reader on 400,000 papers is at
+        most 8 bytes a paper plus 2.5 MB of per-block buffers. Labels and
+        counts are one character each, cells that CPython does not
+        allocate, so tracing stays fast."""
+        n = 400_000
+        rng = np.random.default_rng(3)
+        alphabet = np.frombuffer(bytes(sorted(set(range(33, 127)) - {ord(","), ord('"')})), np.uint8)
+        lines = np.empty((n, 4), np.uint8)
+        lines[:, 0] = rng.choice(alphabet, n)
+        lines[:, 1] = ord(",")
+        lines[:, 2] = rng.integers(ord("0"), ord("9") + 1, n)
+        lines[:, 3] = ord("\n")
+        text = HEADER + lines.tobytes().decode("ascii")
+        tracemalloc.start()
+        try:
+            parsed = tables._parse_long_columns(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed is not None and parsed[2][-1] == n
+        assert peak <= 8 * n + 2_500_000
 
     @pytest.mark.parametrize("block_chars", [1 << 16, 64])
     def test_blank_lines_across_blocks(self, monkeypatch, block_chars):
