@@ -111,9 +111,8 @@ def pattern_from_efa(loadings, threshold, assign_max=False):
     values = np.abs(loadings.values)
     mask = values > threshold
     if assign_max:
-        for i in range(values.shape[0]):
-            if not mask[i].any():
-                mask[i, int(values[i].argmax())] = True
+        empty = ~mask.any(axis=1)
+        mask[empty, values[empty].argmax(axis=1)] = True
     m = loadings.m
     phi_free = ~np.eye(m, dtype=bool)
     return PatternSpec(

@@ -311,7 +311,8 @@ def _cmd_cfa(args):
             _table(["variable", "factor", "loading", "se", "z", "p", "R2"],
                    [variables, [f"F{j + 1}" for j in cols]], cells, [3, 3, 2, 4, 3]),
             "",
-            phi_text,
+            # a one-factor model has no factor pairs
+            *([phi_text] if phi_text else []),
             f"discrepancy = {fit.discrepancy:.6g}   converged = {fit.converged} "
             f"({fit.iterations} iterations)",
         ])

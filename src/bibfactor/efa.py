@@ -23,6 +23,10 @@ first error in stack order, the bootstrap drops and counts failures. Stacked
 matrices keep the memory layout a lone matrix has (loading and eigenvector
 matrices column-major), so every sum and BLAS call runs in the same order
 and a matrix gets the same result bit for bit in a stack of any size.
+Every eigendecomposition is one ``numpy.linalg.eigh`` call in ``_top_eigh``,
+on matrices that are exactly symmetric as built (a correlation matrix
+averaged with its transpose once, a gram matrix as matmul forms it), with
+LAPACK's ascending eigenvalues read backwards.
 """
 
 from __future__ import annotations
@@ -65,14 +69,9 @@ def _swap(a):
     return a.swapaxes(-1, -2)
 
 
-def _per_matrix(order):
-    """Index selecting ``order[b]`` along the last axis of matrix b."""
-    return (order,) if order.ndim == 1 else (np.arange(len(order))[:, None], order)
-
-
 def _take_columns(a, order):
-    """``a[..., :, order]`` with one order per matrix, each result column-major."""
-    return _swap(_swap(a)[_per_matrix(order)])
+    """``a[b][:, order[b]]`` for each matrix b of a stack, each result column-major."""
+    return _swap(_swap(a)[np.arange(len(order))[:, None], order])
 
 
 def _no_errors(shape):
@@ -86,25 +85,25 @@ def _fail(errors, failed, make):
             errors[i] = make(i)
 
 
-def _guarded(fn, stack):
-    """``fn`` over a (..., k, k) stack, and the LinAlgError of each matrix.
+def _guarded(fn, stack, *args):
+    """``fn(stack, *args)`` over a (..., k, k) stack, and each matrix's LinAlgError.
 
     Matrices on which ``fn`` raises are found one by one and replaced by the
     identity, so that one bad matrix cannot stop the rest of the stack.
     """
     errors = _no_errors(stack.shape[:-2])
     try:
-        return fn(stack), errors
+        return fn(stack, *args), errors
     except np.linalg.LinAlgError:
         pass
     bad = np.zeros(errors.shape, dtype=bool)
     for i in np.ndindex(errors.shape):
         try:
-            fn(stack[i])
+            fn(stack[i], *args)
         except np.linalg.LinAlgError as exc:
             errors[i], bad[i] = exc, True
     safe = np.where(bad[..., None, None], np.eye(stack.shape[-1]), stack)
-    return fn(safe), errors
+    return fn(safe, *args), errors
 
 
 def symmetric_eigen(matrix):
@@ -133,21 +132,16 @@ def symmetric_eigen(matrix):
         raise AsymmetricMatrixError(
             f"matrix is not symmetric (max |M - M'| = {asym:.3e})"
         )
-    return _sorted_eigh(m)
-
-
-def _sorted_eigh(m):
-    # For stacks (..., k, k) this module built itself that may be asymmetric
-    # at rounding level (a matmul's gram matrix): that asymmetry is averaged
-    # away, without a check.
-    return _top_eigh((m + _swap(m)) / 2.0)
+    return _top_eigh((m + m.T) / 2.0)
 
 
 def _top_eigh(m, k=None):
-    """The top k (default all) eigenpairs of an exactly symmetric stack."""
+    """The top k (default all) eigenpairs of an exactly symmetric stack, as
+    fresh copies, eigenvectors column-major: a reversed view has a negative
+    stride, along which numpy may sum in the other order."""
     values, vectors = np.linalg.eigh(m)
-    order = np.argsort(values, axis=-1)[..., ::-1][..., :k]
-    return values[_per_matrix(order)], _take_columns(vectors, order)
+    return (values[..., ::-1][..., :k].copy(),
+            _swap(_swap(vectors)[..., ::-1, :][..., :k, :].copy()))
 
 
 def _singular(values):
@@ -445,7 +439,7 @@ def _uls(values, eigenvalues, eigenvectors, settings):
             # exactly symmetric, as R is: only the diagonal changes
             reduced = values[active]
             reduced[:, diagonal, diagonal] = current
-            (w, vectors), failed = _guarded(lambda s: _top_eigh(s, m), reduced)
+            (w, vectors), failed = _guarded(_top_eigh, reduced, m)
             ok = np.equal(failed, None)
             if not ok.all():
                 errors[active] = failed
@@ -643,9 +637,8 @@ def _promax(values, kappa):
     normalized = values / row_norms[..., None]
     target = np.sign(normalized) * np.abs(normalized) ** kappa
 
-    (gram_values, gram_vectors), errors = _guarded(
-        _sorted_eigh, _swap(normalized) @ normalized
-    )
+    # numpy forms A'A by syrk, so each gram matrix is exactly symmetric
+    (gram_values, gram_vectors), errors = _guarded(_top_eigh, _swap(normalized) @ normalized)
     _fail(errors, _singular(gram_values),
           lambda i: SingularMatrixError("varimax loadings are rank deficient"))
     ok = np.equal(errors, None)

@@ -194,6 +194,15 @@ class TestPatternFromEfa:
         spec = pattern_from_efa(loadings, threshold=0.6, assign_max=True)
         assert spec.loadings_free[2].tolist() == [True, False]
 
+    def test_assign_max_frees_each_empty_row_at_its_largest_abs_loading(self):
+        values = np.array([[0.9, 0.1], [0.3, -0.5], [0.1, 0.8], [-0.55, 0.2], [0.4, 0.4]])
+        loadings = LoadingMatrix(tuple("abcde"), values, rotation="varimax")
+        spec = pattern_from_efa(loadings, threshold=0.6, assign_max=True)
+        # a tie goes to the first factor
+        assert spec.loadings_free.tolist() == [
+            [True, False], [False, True], [False, True], [True, False], [True, False],
+        ]
+
     def test_all_zero_loadings_rejected(self):
         loadings = LoadingMatrix(tuple("abcd"), np.zeros((4, 2)), rotation="varimax")
         with pytest.raises(SpecificationError):

@@ -36,8 +36,9 @@ from bibfactor import efa, stats
 from bibfactor.efa import (
     _checked_correlations,
     _guarded,
+    _BOOTSTRAP_CELLS,
     _pipelines,
-    _sorted_eigh,
+    _top_eigh,
     _varimax_criterion,
 )
 from bibfactor.fixture import VARIMAX_TABLES
@@ -916,10 +917,60 @@ class TestStackedBootstrapEquivalence:
         assert result.failures["ConvergenceError"] == result.n_failed > 0
 
 
+def reference_top_eigh(m, k=None):
+    """The top k eigenpairs the former way: the (M + M')/2 average, an
+    argsort of the eigenvalues and a gather of the eigenvectors, each
+    result column-major."""
+    values, vectors = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
+    order = np.argsort(values, axis=-1)[..., ::-1][..., :k]
+    index = (order,) if order.ndim == 1 else (np.arange(len(order))[:, None], order)
+    return values[index], np.swapaxes(np.swapaxes(vectors, -1, -2)[index], -1, -2)
+
+
+def tied_stacks(rng, p, B=6):
+    """Symmetric (B, p, p) stacks with exactly repeated eigenvalues."""
+    identity = np.array(np.broadcast_to(np.eye(p), (B, p, p)))
+    identity[:, : p // 2, : p // 2] *= 2.0
+    q, _ = np.linalg.qr(rng.normal(size=(B, p, p)))
+    repeated = (q * rng.integers(0, 3, size=(B, 1, p))) @ np.swapaxes(q, -1, -2)
+    repeated = (repeated + np.swapaxes(repeated, -1, -2)) / 2.0
+    # integer factors of rank below p: the gram is exact and singular
+    factor = np.round(rng.normal(size=(B, p, max(1, p // 2))))
+    return identity, repeated, factor @ np.swapaxes(factor, -1, -2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 10])
+def test_top_eigh_equals_the_argsort_reference(p):
+    # reading LAPACK's ascending order backwards gives the argsort order,
+    # ties included, and the same column-major eigenvector layout
+    for stack in tied_stacks(np.random.default_rng(p), p):
+        for m in (stack, stack[0]):
+            for k in (None, *range(1, p + 1)):
+                values, vectors = _top_eigh(m, k)
+                want_values, want_vectors = reference_top_eigh(m, k)
+                assert values.tobytes() == want_values.tobytes()
+                assert vectors.tobytes() == want_vectors.tobytes()
+                assert vectors.strides == want_vectors.strides
+
+
+@pytest.mark.parametrize("p", [7, 9, 10])
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_promax_gram_matrices_are_exactly_symmetric(p, m):
+    # _promax decomposes A'A without averaging: numpy forms it by syrk,
+    # which mirrors one triangle, on stacks laid out as _promax gets them
+    rng = np.random.default_rng(100 * p + m)
+    for B in (1, _BOOTSTRAP_CELLS // (p * p)):
+        loadings = np.swapaxes(rng.uniform(-1.0, 1.0, size=(B, m, p)), -1, -2)
+        normalized = loadings / np.sqrt((loadings**2).sum(axis=-1))[..., None]
+        gram = np.swapaxes(normalized, -1, -2) @ normalized
+        assert gram.tobytes() == np.swapaxes(gram, -1, -2).tobytes()
+
+
 def test_unaveraged_top_eigenpairs_equal_sorted_eigh(fixture, monkeypatch):
     # every stack decomposed without the (M + M')/2 average, the reduced
-    # matrices of the extraction included, is exactly symmetric, and its
-    # top k eigenpairs are those of the averaged decomposition, bit for bit
+    # matrices of the extraction and the promax gram matrices included, is
+    # exactly symmetric, and its top k eigenpairs are those of the averaged
+    # argsort reference, bit for bit
     calls = []
 
     def spy(m, k=None, kernel=efa._top_eigh):
@@ -939,14 +990,16 @@ def test_unaveraged_top_eigenpairs_equal_sorted_eigh(fixture, monkeypatch):
             )
         sub = fixture.subset(BOOTSTRAP_VARIABLES["7+NC"])
         bootstrap_efa(sub.values, sub.columns, Transform.LOG, n_boot=200, seed=5)
+        bootstrap_efa(sub.values, sub.columns, Transform.LOG, rotation="promax",
+                      n_boot=200, seed=5)
     monkeypatch.undo()
     assert sum(m.shape[0] for m, k in calls if k == 2 and m.ndim == 3) > 200
     for m, k in calls:
         assert m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
         values, vectors = efa._top_eigh(m, k)
-        want_values, want_vectors = _sorted_eigh(m)
-        assert values.tobytes() == want_values[..., :k].tobytes()
-        assert vectors.tobytes() == want_vectors[..., :k].tobytes()
+        want_values, want_vectors = reference_top_eigh(m, k)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
 
 
 def test_extraction_failing_mid_stack_fails_only_its_matrix(fixture, monkeypatch):
@@ -996,9 +1049,9 @@ class TestGuardedStack:
         stack = np.random.default_rng(4).normal(size=(3, 4, 4))
         stack = stack + stack.transpose(0, 2, 1)
         stack[0, 1, 1] = np.nan
-        (values, vectors), errors = _guarded(_sorted_eigh, stack)
+        (values, vectors), errors = _guarded(reference_top_eigh, stack)
         assert [e is None for e in errors] == [False, True, True]
         for i in (1, 2):
-            alone = _sorted_eigh(stack[i])
+            alone = reference_top_eigh(stack[i])
             assert np.array_equal(values[i], alone[0])
             assert np.array_equal(vectors[i], alone[1])

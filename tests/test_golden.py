@@ -8,10 +8,16 @@ raised, and ``run_main`` fails on any warning that escapes ``main``. The
 inputs are small committed files, so no random stream decides what is
 compared.
 
+The ``--json`` goldens print full-precision floats, whose last bits may
+differ between LAPACK builds, so their stdout is compared by key sequence,
+strings, ints and bools exactly and floats within ``FLOAT_TOL``.
+
 After an intended output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why each one moved.
 """
 
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -90,6 +96,7 @@ COMMANDS.update({
         ["efa", *_input("long_150.csv"), "--vars", "7+NSC", "--transform", "ln1p",
          "--rotation", "promax"], 0),
     "cfa-fixture": (["cfa", "--fixture"], 0),
+    "cfa-fixture-1": (["cfa", "--fixture", "--factors", "1"], 0),
     "cfa-fixture-7-ln-06": (
         ["cfa", "--fixture", "--vars", "7", "--transform", "ln", "--threshold", "0.6"], 0),
     "bootstrap-fixture-b50": (["bootstrap", "--fixture", "--B", "50", "--seed", "1"], 0),
@@ -109,6 +116,20 @@ COMMANDS.update({
        for command in ("indices", "describe", "efa", "cfa", "bootstrap", "verify")},
 })
 
+# compared as parsed JSON, floats within FLOAT_TOL
+JSON_COMMANDS = {
+    "verify-json": (["verify", "--json"], 0),
+    "efa-fixture-json": (["efa", "--fixture", "--json"], 0),
+    "efa-fixture-7nc-ln-promax-json": (
+        ["efa", "--fixture", "--vars", "7+NC", "--transform", "ln", "--rotation", "promax",
+         "--json"], 0),
+    "describe-fixture-json": (["describe", "--fixture", "--json"], 0),
+    "cfa-fixture-json": (["cfa", "--fixture", "--json"], 0),
+    "bootstrap-fixture-b50-seed31-json": (
+        ["bootstrap", "--fixture", "--B", "50", "--seed", "31", "--json"], 0),
+}
+FLOAT_TOL = {"rel_tol": 1e-9, "abs_tol": 1e-12}
+
 
 def _read(path):
     with open(path, encoding="utf-8", newline="") as handle:
@@ -125,9 +146,35 @@ def test_golden_output(name, monkeypatch):
     assert err == _read(GOLDEN / f"{name}.stderr")
 
 
+def _assert_json_close(got, want, path="$"):
+    """``got`` equals ``want`` but for floats, which agree within FLOAT_TOL."""
+    assert type(got) is type(want), f"{path}: {got!r} against {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} against {list(want)}"
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} against {len(want)}"
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_json_close(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, **FLOAT_TOL), f"{path}: {got!r} against {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} against {want!r}"
+
+
+@pytest.mark.parametrize("name", JSON_COMMANDS)
+def test_golden_json_output(name):
+    argv, expected_code = JSON_COMMANDS[name]
+    code, out, err = run_main(argv)
+    assert code == expected_code
+    _assert_json_close(json.loads(out), json.loads(_read(GOLDEN / f"{name}.stdout")))
+    assert err == _read(GOLDEN / f"{name}.stderr")
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    for name, (argv, expected_code) in COMMANDS.items():
+    for name, (argv, expected_code) in {**COMMANDS, **JSON_COMMANDS}.items():
         code, out, err = run_main(argv)
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
