@@ -16,7 +16,6 @@ carry the usual caveat and should be read as indicative.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +24,9 @@ import numpy as np
 from .efa import _singular, check_threshold
 from .errors import (
     ConvergenceError,
-    HeywoodWarning,
     SpecificationError,
     ValidationError,
+    warn_heywood,
 )
 from .stats import normal_cdf
 
@@ -175,10 +174,6 @@ def _unpack(theta, spec, pairs, n_load):
     return loadings, phi, theta[-spec.p:]
 
 
-def _implied(loadings, phi, uniquenesses):
-    return loadings @ phi @ loadings.T + np.diag(uniquenesses)
-
-
 def _sigma_derivatives(loadings, phi, spec, pairs):
     """dSigma/dtheta as a (dim, p, p) array, parameters in ``_unpack`` order.
 
@@ -288,7 +283,7 @@ def cfa_fit(corr, n_obs, spec):
 
     def evaluate(theta):
         loadings, phi, theta_diag = _unpack(theta, spec, pairs, n_load)
-        sigma = _implied(loadings, phi, theta_diag)
+        sigma = loadings @ phi @ loadings.T + np.diag(theta_diag)
         try:
             root_inv = np.linalg.inv(np.linalg.cholesky(sigma))
         except np.linalg.LinAlgError:
@@ -327,11 +322,7 @@ def cfa_fit(corr, n_obs, spec):
     loadings, phi, theta_diag = _unpack(result.x, spec, pairs, n_load)
     heywood = theta_diag <= _THETA_FLOOR * (1.0 + 1e-6)
     if heywood.any():
-        warnings.warn(
-            "uniqueness at the admissible boundary (Heywood case)",
-            HeywoodWarning,
-            stacklevel=2,
-        )
+        warn_heywood("uniqueness at the admissible boundary (Heywood case)")
 
     try:
         covariance = np.linalg.inv(result.information) * 2.0 / (n_obs - 1)
@@ -360,8 +351,3 @@ def cfa_fit(corr, n_obs, spec):
         iterations=int(result.nit),
         heywood=heywood,
     )
-
-
-def model_implied(fit):
-    """Sigma(theta) for a fitted model."""
-    return _implied(fit.loadings, fit.phi, fit.uniquenesses)

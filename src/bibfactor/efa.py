@@ -17,9 +17,11 @@ transforms of a variable set, the bootstrap with stacks of resamples sized
 by one cell budget, ``_BOOTSTRAP_CELLS``. A kernel returns, per matrix,
 the error the public function raises for it (None when the matrix went
 through), so one failing matrix never stops the rest of its stack. On a
-stack, extraction and rotation run through one chain, ``_chain``, which
-serves both failure policies: ``efa_pipeline`` and ``verify`` raise the
-first error in stack order, the bootstrap drops and counts failures. Stacked
+stack, extraction and rotation run through one chain, ``_chain``. It
+returns one record, ``_Stages``, of full-length per-matrix stacks in input
+order, each step having run on the matrices with no error yet, and serves
+both failure policies: ``efa_pipeline`` and ``verify`` raise the first
+error in stack order, the bootstrap drops and counts failures. Stacked
 matrices keep the memory layout a lone matrix has (loading and eigenvector
 matrices column-major), so every sum and BLAS call runs in the same order
 and a matrix gets the same result bit for bit in a stack of any size.
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +46,12 @@ from .errors import (
     BibfactorError,
     ConvergenceError,
     DegenerateInputError,
-    HeywoodWarning,
     InsufficientDataError,
     SingularMatrixError,
     ValidationError,
     ZeroVarianceError,
     check_unique,
+    warn_heywood,
 )
 from .stats import Transform, constant_samples, transform_columns
 
@@ -391,20 +393,12 @@ class LoadingMatrix:
     def m(self):
         return self.values.shape[1]
 
-    def communalities(self):
-        return (self.values**2).sum(axis=1)
-
     def ss_loadings(self):
         return (self.values**2).sum(axis=0)
 
 
 def _warn_clamped(count):
-    for _ in range(count):
-        warnings.warn(
-            "communality exceeded 1 during extraction and was clamped",
-            HeywoodWarning,
-            stacklevel=3,
-        )
+    warn_heywood("communality exceeded 1 during extraction and was clamped", count)
 
 
 def _uls(values, eigenvalues, eigenvectors, settings):
@@ -852,11 +846,12 @@ def _pipelines(tables, labels, settings, rotation, kappa):
     Equal to ``[efa_pipeline(x, labels, Transform.IDENTITY, settings,
     rotation, kappa) for x in tables]`` bit for bit, but extraction and
     rotation run once, through :func:`_chain` on the stack of all the
-    correlation matrices, with the chain's raising policy: each clamped
-    extraction warns once, in table order, and the first table that fails
-    raises what its pipeline would raise. An error raised by iterating
-    ``tables`` (a table transformed lazily, say) counts as a failure of the
-    table it was producing.
+    correlation matrices, and each result reads its table's row of every
+    stage. The chain's raising policy: each clamped extraction warns once,
+    in table order, and the first table that fails raises what its pipeline
+    would raise. An error raised by iterating ``tables`` (a table
+    transformed lazily, say) counts as a failure of the table it was
+    producing.
     """
     labels = tuple(labels)
     corrs, pending = [], None
@@ -868,7 +863,7 @@ def _pipelines(tables, labels, settings, rotation, kappa):
     except (BibfactorError, np.linalg.LinAlgError) as exc:
         pending = exc
     if corrs:
-        loadings, communalities, turned, phis, clamped, errors = _chain(
+        stages = _chain(
             np.stack([c.values for c in corrs]),
             np.stack([c.eigenvalues for c in corrs]),
             # column-major eigenvectors, as the kernels keep them
@@ -877,20 +872,19 @@ def _pipelines(tables, labels, settings, rotation, kappa):
         )
     results = []
     for i, corr in enumerate(corrs):
-        _warn_clamped(int(clamped[i]))
-        if errors[i] is not None:
-            raise errors[i]
-        # every table before this one went through, so it is survivor i
-        unrotated = LoadingMatrix(labels, loadings[i], rotation="none")
+        _warn_clamped(int(stages.clamped[i]))
+        if stages.errors[i] is not None:
+            raise stages.errors[i]
+        unrotated = LoadingMatrix(labels, stages.loadings[i], rotation="none")
         rotated, structure, phi = unrotated, None, None
         if rotation != "none":
-            rotated = LoadingMatrix(labels, turned[i], rotation=rotation)
+            rotated = LoadingMatrix(labels, stages.rotated[i], rotation=rotation)
         if rotation == "promax":
-            structure, phi = rotated.values @ phis[i], phis[i]
+            structure, phi = rotated.values @ stages.phi[i], stages.phi[i]
         ss = ((rotated.values if structure is None else structure) ** 2).sum(axis=0)
         results.append(EFAResult(
             correlation=corr, unrotated=unrotated, rotated=rotated,
-            communalities=communalities[i], ss_loadings=ss,
+            communalities=stages.communalities[i], ss_loadings=ss,
             variance_explained=ss / corr.p, structure=structure, phi=phi,
         ))
     if pending is not None:
@@ -971,10 +965,9 @@ def _align(values, reference):
 def align_loadings(loadings, reference):
     """Permute and sign-flip columns to best match a reference matrix.
 
-    Searches all column permutations (m! of them, fine for the small m used
-    here) for the one maximizing the summed absolute Tucker congruence with
-    the reference columns, then flips signs to make each congruence
-    non-negative.
+    Searches all m! column permutations for the one maximizing the summed
+    absolute Tucker congruence with the reference columns, then flips signs
+    to make each congruence non-negative.
     """
     if loadings.values.shape != reference.values.shape:
         raise ValidationError(
@@ -1022,43 +1015,46 @@ class BootstrapResult:
         }
 
 
-def _chain(values, eigenvalues, eigenvectors, stage, settings, rotation, kappa):
+class _Stages(NamedTuple):
+    """The record :func:`_chain` returns: per field, one stack of every
+    input matrix in input order. The rows of a matrix whose ``errors``
+    entry is not None carry no meaning."""
+
+    loadings: np.ndarray  # unrotated
+    communalities: np.ndarray
+    rotated: np.ndarray  # the pattern under promax, ``loadings`` under "none"
+    phi: np.ndarray | None  # factor correlations, None unless promax
+    clamped: np.ndarray
+    errors: np.ndarray  # the error each matrix fails with, or None
+
+
+def _chain(values, eigenvalues, eigenvectors, errors, settings, rotation, kappa):
     """Extraction and rotation of a (k, p, p) stack of checked correlations.
 
-    Takes what :func:`_checked_correlations` returns, ``stage`` being the
-    errors (None where a matrix went through). A failed matrix is left out
-    of the later steps. This one chain serves both failure policies:
-    :func:`_pipelines` raises the first error in stack order, the bootstrap
-    drops and counts failures. Returns the unrotated loadings,
-    communalities, rotated loadings (the pattern under promax) and factor
-    correlations (None unless promax) of the matrices that went through, in
-    stack order, then per matrix the clamp mask and the error (or None).
+    Takes what :func:`_checked_correlations` returns, ``errors`` being each
+    matrix's error so far (None where it went through), and returns the
+    :class:`_Stages` of the stack. Each step runs on the matrices with no
+    error yet and writes its results and errors back by mask. This one
+    chain serves both failure policies: :func:`_pipelines` raises the first
+    error in stack order, the bootstrap drops and counts failures.
     """
-    alive = np.arange(len(values))
-    errors, clamped = _no_errors(len(values)), np.zeros(len(values), dtype=bool)
-
-    def survivors(stage_errors, *stacks):
-        nonlocal alive
-        errors[alive] = stage_errors
-        ok = np.equal(stage_errors, None)
-        if ok.all():
-            return stacks
-        alive = alive[ok]
-        return [stack[ok] for stack in stacks]
-
-    corr = survivors(stage, values, eigenvalues, eigenvectors)
-    loadings, communalities, stage_clamped, stage = _uls(*corr, settings)
-    clamped[alive] = stage_clamped
-    loadings, communalities = survivors(stage, loadings, communalities)
-    rotated, phi = loadings, None
+    (k, p, _), m = values.shape, settings.n_factors
+    errors = errors.copy()
+    # column-major, as the kernels return loadings
+    loadings = _swap(np.zeros((k, m, p)))
+    communalities, clamped = np.zeros((k, p)), np.zeros(k, dtype=bool)
+    ok = np.equal(errors, None)
+    loadings[ok], communalities[ok], clamped[ok], errors[ok] = _uls(
+        values[ok], eigenvalues[ok], eigenvectors[ok], settings
+    )
+    rotated, phi, ok = loadings, None, np.equal(errors, None)
     if rotation != "none":
-        rotated, _ = _varimax(loadings)
+        rotated = np.zeros_like(loadings)
+        rotated[ok], _ = _varimax(loadings[ok])
     if rotation == "promax":
-        rotated, phi, stage = _promax(rotated, kappa)
-        loadings, communalities, rotated, phi = survivors(
-            stage, loadings, communalities, rotated, phi
-        )
-    return loadings, communalities, rotated, phi, clamped, errors
+        phi = np.zeros((k, m, m))
+        rotated[ok], phi[ok], errors[ok] = _promax(rotated[ok], kappa)
+    return _Stages(loadings, communalities, rotated, phi, clamped, errors)
 
 
 def _resample_correlations(xt, indices, labels):
@@ -1105,8 +1101,10 @@ def bootstrap_efa(
     ``_BOOTSTRAP_CELLS // (n p)`` at a time, p x p matrices
     ``_BOOTSTRAP_CELLS // (p p)`` at a time, and alignment scores the m!
     column permutations of k matrices ``_BOOTSTRAP_CELLS // k`` at a time.
-    Every resample runs exactly the iterates it would run alone through
-    :func:`efa_pipeline`, so the result equals that per-resample
+    Of each stack's :func:`_chain` record, the rotated loadings of the
+    resamples with no error are aligned, and every clamp and error is
+    counted. Every resample runs exactly the iterates it would run alone
+    through :func:`efa_pipeline`, so the result equals that per-resample
     definition bit for bit.
 
     Parameters
@@ -1145,11 +1143,13 @@ def bootstrap_efa(
     size = max(1, _BOOTSTRAP_CELLS // len(labels) ** 2)
     chunks = []
     for start in range(0, n_boot, size):
-        *_, rotated, _, clamped, errors = _chain(
+        stages = _chain(
             *_resample_correlations(xt, indices[start:start + size], labels),
             settings, rotation, kappa,
         )
-        chunks.append((_align(rotated, reference.rotated.values), errors, clamped))
+        ok = np.equal(stages.errors, None)
+        chunks.append((_align(stages.rotated[ok], reference.rotated.values),
+                       stages.errors, stages.clamped))
     draws, errors, clamped = (np.concatenate(part) for part in zip(*chunks))
     n_clamped = int(clamped.sum())
     _warn_clamped(n_clamped)

@@ -1,6 +1,9 @@
 """Exception and warning types shared across the package, and the check
 on repeated names that tables and results share."""
 
+import sys
+import warnings
+
 
 class BibfactorError(Exception):
     """Base class for all errors raised by this package."""
@@ -69,3 +72,14 @@ def check_unique(names, kind="label"):
     if len(set(names)) != len(names):
         repeat = next(n for i, n in enumerate(names) if n in names[:i])
         raise ValidationError(f"duplicate {kind} {repeat!r}")
+
+
+def warn_heywood(message, count=1):
+    """Raise ``count`` HeywoodWarnings, each naming the line of the first
+    caller outside this package, so that filters act on the caller's code."""
+    # the frames are walked by hand: skip_file_prefixes needs Python 3.12
+    level, frame = 2, sys._getframe(1)
+    while frame and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        level, frame = level + 1, frame.f_back
+    for _ in range(count):
+        warnings.warn(message, HeywoodWarning, stacklevel=level)

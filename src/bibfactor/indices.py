@@ -78,14 +78,6 @@ class IndicatorSet:
     c: float
     empty_core: bool = False
 
-    def as_dict(self):
-        """Map to the canonical indicator column names."""
-        return {
-            "h": self.h, "m": self.m, "g": self.g, "h2": self.h2,
-            "A": self.a, "R": self.r, "hw": self.hw,
-            "N": self.n, "S": self.s, "C": self.c,
-        }
-
 
 @dataclass(frozen=True)
 class InterpolatedIndicatorSet:

@@ -15,7 +15,7 @@ from bibfactor import (
     pattern_from_efa,
 )
 from bibfactor import cfa as cfa_mod
-from bibfactor.cfa import PatternSpec, model_implied
+from bibfactor.cfa import PatternSpec
 from bibfactor.efa import ExtractionSettings, efa_pipeline
 from bibfactor.fixture import CFA_RAW_PATTERN, fixture_table
 from bibfactor.stats import Transform
@@ -277,7 +277,8 @@ class TestCfaFit:
         assert np.abs(fit.loadings[mask] - loadings[mask]).max() < 1e-5
         assert abs(fit.phi[0, 1] - phi[0, 1]) < 1e-5
         assert np.abs(fit.uniquenesses - uniquenesses).max() < 1e-5
-        assert model_implied(fit) == pytest.approx(np.asarray(corr.values), abs=1e-5)
+        implied = fit.loadings @ fit.phi @ fit.loadings.T + np.diag(fit.uniquenesses)
+        assert implied == pytest.approx(np.asarray(corr.values), abs=1e-5)
 
     def test_masked_entries_exactly_zero(self):
         rng = np.random.default_rng(101)

@@ -501,10 +501,6 @@ class TestLoadingMatrix:
         with pytest.raises(ValidationError, match="^unknown rotation tag 'quartimax'$"):
             LoadingMatrix(("a", "b"), np.ones((2, 2)), "quartimax")
 
-    def test_communalities_are_row_sums_of_squares(self):
-        loadings = LoadingMatrix(("a", "b"), [[0.6, 0.3], [0.2, -0.5]])
-        assert loadings.communalities() == pytest.approx([0.45, 0.29])
-
 
 class TestAlignLoadings:
     def test_self_alignment_is_identity(self):
@@ -1033,6 +1029,67 @@ def test_extraction_failing_mid_stack_fails_only_its_matrix(fixture, monkeypatch
     assert (failing.n_failed, failing.failures) == (2, {"LinAlgError": 2})
     for key in ("mean", "sd", "lower", "upper"):
         assert getattr(failing, key).tobytes() == getattr(kept, key).tobytes(), key
+
+
+@pytest.mark.parametrize("rotation", efa.ROTATIONS)
+def test_chain_record_holds_every_matrix_in_input_order(fixture, monkeypatch, rotation):
+    # one stack with a correlation-stage failure (a constant table), an
+    # extraction failure (its decomposition raises, as in the test above), a
+    # promax failure (seven copies of h: rank-one loadings) and survivors;
+    # each row of the record is what a lone pipeline of its table gives
+    sub = fixture.subset(SEVEN)
+    rows = np.random.default_rng(31).integers(0, sub.n_rows, size=(3, sub.n_rows))
+    tables = [sub.values[rows[0]], sub.values[np.full(sub.n_rows, 3)], sub.values[rows[1]],
+              sub.values[rows[2][::-1]], np.repeat(sub.values[:, :1], len(SEVEN), axis=1),
+              sub.values]
+    off = ~np.eye(len(SEVEN), dtype=bool)
+    poisoned = correlation_matrix(tables[3], SEVEN).values[off].tobytes()
+
+    def flaky(m, k=None, kernel=efa._top_eigh):
+        if k is not None and any(x[off].tobytes() == poisoned
+                                 for x in m.reshape(-1, *m.shape[-2:])):
+            raise np.linalg.LinAlgError("poisoned")
+        return kernel(m, k)
+
+    monkeypatch.setattr(efa, "_top_eigh", flaky)
+    indices = np.arange(len(tables) * sub.n_rows).reshape(len(tables), sub.n_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeywoodWarning)
+        stages = efa._chain(*efa._resample_correlations(np.vstack(tables), indices, SEVEN),
+                            ExtractionSettings(), rotation, 3)
+    assert type(stages) is efa._Stages
+    assert (stages.phi is None) == (rotation != "promax")
+    for name, stage in stages._asdict().items():
+        assert stage is None or len(stage) == len(tables), name
+    failed = []
+    for i, table in enumerate(tables):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", HeywoodWarning)
+            try:
+                # extraction alone, outside the chain, warns once per clamp
+                uls_extract(correlation_matrix(table, SEVEN))
+            except (BibfactorError, np.linalg.LinAlgError):
+                pass
+        assert stages.clamped[i] == len(caught), i
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeywoodWarning)
+            try:
+                alone = efa_pipeline(table, SEVEN, rotation=rotation)
+            except (BibfactorError, np.linalg.LinAlgError) as exc:
+                alone = exc
+        if isinstance(alone, Exception):
+            failed.append(i)
+            error = stages.errors[i]
+            assert (type(error), str(error)) == (type(alone), str(alone)), i
+            continue
+        assert stages.errors[i] is None, i
+        assert stages.loadings[i].tobytes() == alone.unrotated.values.tobytes(), i
+        assert stages.communalities[i].tobytes() == alone.communalities.tobytes(), i
+        assert stages.rotated[i].tobytes() == alone.rotated.values.tobytes(), i
+        if rotation == "promax":
+            assert stages.phi[i].tobytes() == alone.phi.tobytes(), i
+    assert failed == ([1, 3, 4] if rotation == "promax" else [1, 3])
+    assert type(stages.errors[1]) is ZeroVarianceError and not stages.clamped[1]
 
 
 class TestGuardedStack:

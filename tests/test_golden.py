@@ -127,6 +127,16 @@ JSON_COMMANDS = {
     "cfa-fixture-json": (["cfa", "--fixture", "--json"], 0),
     "bootstrap-fixture-b50-seed31-json": (
         ["bootstrap", "--fixture", "--B", "50", "--seed", "31", "--json"], 0),
+    # the bootstrap's promax path, which reads the pattern and phi stages
+    "bootstrap-fixture-b50-seed31-7nc-ln-promax-json": (
+        ["bootstrap", "--fixture", "--vars", "7+NC", "--transform", "ln",
+         "--rotation", "promax", "--B", "50", "--seed", "31", "--json"], 0),
+    "describe-long150-7nsc-ln1p-json": (
+        ["describe", *_input("long_150.csv"), "--vars", "7+NSC", "--transform", "ln1p",
+         "--json"], 0),
+    "efa-long150-7nsc-ln1p-promax-json": (
+        ["efa", *_input("long_150.csv"), "--vars", "7+NSC", "--transform", "ln1p",
+         "--rotation", "promax", "--json"], 0),
 }
 FLOAT_TOL = {"rel_tol": 1e-9, "abs_tol": 1e-12}
 

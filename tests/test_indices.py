@@ -6,6 +6,7 @@ import pytest
 from bibfactor import (
     CitationRecord,
     EmptyCoreError,
+    INDICATOR_COLUMNS,
     GConvention,
     ValidationError,
     a_index,
@@ -258,8 +259,8 @@ class TestEngineEquivalence:
         table = table_from_records(records, convention)
         for rec, row in zip(records, table.values.tolist()):
             assert row == _oracle_row(rec.counts, convention), rec.label
-            expected = indicator_set(rec, convention).as_dict()
-            assert row == [expected[c] for c in table.columns], rec.label
+            expected = indicator_set(rec, convention)
+            assert row == [getattr(expected, c.lower()) for c in INDICATOR_COLUMNS], rec.label
 
     def test_chunks_do_not_change_rows(self, monkeypatch):
         rng = np.random.default_rng(5)

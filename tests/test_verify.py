@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from bibfactor import (
+    VARIABLE_SETS,
     ExtractionSettings,
+    HeywoodWarning,
     IndicatorTable,
+    PatternSpec,
     Transform,
     ValidationError,
     ZeroVarianceError,
+    bootstrap_efa,
+    cfa_fit,
+    correlation_matrix,
     efa_pipeline,
     promax,
+    uls_extract,
 )
 from bibfactor import fixture as fx
 from bibfactor.efa import _pipelines
@@ -201,3 +208,35 @@ class TestStackedStages:
         clamps = [m for m in messages if m.startswith("communality exceeded 1 ")]
         bounds = [m for m in messages if m.startswith("uniqueness at the admissible boundary ")]
         assert (len(clamps), len(bounds), len(messages)) == (12, 1, 13)
+
+
+def test_heywood_warnings_name_the_callers_line():
+    # every Heywood warning points at the line that called the package, the
+    # bootstrap's reference fit and verify's stacked pipelines included, so
+    # a filter on the caller's module and the once-per-line rule apply to it
+    variables, table = VARIABLE_SETS["7+NC"], fixture_table()
+    values = table.subset(variables).values
+    logged = np.column_stack(list(transform_columns(values, variables, Transform.LOG)))
+    mask = np.zeros((len(variables), 2), dtype=bool)
+    for factor, members in fx.CFA_RAW_PATTERN.items():
+        mask[[variables.index(v) for v in members], factor - 1] = True
+    spec = PatternSpec(variables, mask, ~np.eye(2, dtype=bool))
+    calls = {
+        "uls_extract": lambda: uls_extract(correlation_matrix(logged, variables)),
+        "efa_pipeline": lambda: efa_pipeline(values, variables, Transform.LOG,
+                                             rotation="promax"),
+        "bootstrap_efa": lambda: bootstrap_efa(values, variables, Transform.LOG,
+                                               rotation="promax", n_boot=20, seed=31),
+        "cfa_fit": lambda: cfa_fit(correlation_matrix(values, variables), table.n_rows, spec),
+        "run_verification": run_verification,
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        assert caught, name
+        assert all(w.category is HeywoodWarning for w in caught), name
+        assert {w.filename for w in caught} == {__file__}, name
+        if name == "bootstrap_efa":
+            # one per clamped resample and one for the reference fit
+            assert len(caught) == result.n_clamped + 1
