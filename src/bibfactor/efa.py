@@ -17,14 +17,15 @@ transforms of a variable set, the bootstrap with stacks of resamples sized
 by one cell budget, ``_BOOTSTRAP_CELLS``. A kernel returns, per matrix,
 the error the public function raises for it (None when the matrix went
 through), so one failing matrix never stops the rest of its stack. On a
-stack, extraction and rotation run through one chain, ``_chain``. It
-returns one record, ``_Stages``, of full-length per-matrix stacks in input
-order, each step having run on the matrices with no error yet, and serves
-both failure policies: ``efa_pipeline`` and ``verify`` raise the first
-error in stack order, the bootstrap drops and counts failures. Stacked
-matrices keep the memory layout a lone matrix has (loading and eigenvector
-matrices column-major), so every sum and BLAS call runs in the same order
-and a matrix gets the same result bit for bit in a stack of any size.
+stack, extraction and rotation run through one chain, ``_chain``, whose
+kernels each take the errors so far and skip the matrices that have one.
+It returns one record, ``_Stages``, of full-length per-matrix stacks in
+input order, and serves both failure policies: ``efa_pipeline`` and
+``verify`` raise the first error in stack order, the bootstrap drops and
+counts failures. Stacked matrices keep the memory layout a lone matrix has
+(loading and eigenvector matrices column-major), so every sum and BLAS
+call runs in the same order and a matrix gets the same result bit for bit
+in a stack of any size.
 Every eigendecomposition is one ``numpy.linalg.eigh`` call in ``_top_eigh``,
 on matrices that are exactly symmetric as built (a correlation matrix
 averaged with its transpose once, a gram matrix as matmul forms it), with
@@ -401,14 +402,15 @@ def _warn_clamped(count):
     warn_heywood("communality exceeded 1 during extraction and was clamped", count)
 
 
-def _uls(values, eigenvalues, eigenvectors, settings):
+def _uls(values, eigenvalues, eigenvectors, errors, settings):
     """Iterated principal axes on a (B, p, p) stack of correlation matrices.
 
-    Each matrix iterates until its own largest communality change is below
-    ``settings.tol``, so it runs exactly the iterates it would run alone.
-    Returns canonical loadings (B, p, m), communalities (B, p), the mask of
-    matrices whose communalities were clamped at some iterate, and per
-    matrix a ConvergenceError or LinAlgError (or None).
+    Each matrix whose ``errors`` entry is None iterates until its own
+    largest communality change is below ``settings.tol``, exactly as it
+    would alone. Returns full-length stacks of canonical loadings (B, p, m),
+    zero for a matrix that never iterates, communalities (B, p), clamp
+    flags (B,) and ``errors`` plus each ConvergenceError, LinAlgError and,
+    where R has rank below m, SingularMatrixError.
     """
     B, p, _ = values.shape
     m = settings.n_factors
@@ -421,37 +423,41 @@ def _uls(values, eigenvalues, eigenvectors, settings):
     loadings = _swap(np.zeros((B, m, p)))
     updated = np.zeros((B, p))
     clamped = np.zeros(B, dtype=bool)
-    errors = _no_errors(B)
-    # the matrices still iterating and their current communalities
-    active, current = np.arange(B), communalities
+    errors = errors.copy()
+    # eigenvalue m of R at most _RELATIVE_RANK_TOL times its largest
+    _fail(errors, _singular(eigenvalues[:, :m]), lambda i: SingularMatrixError(
+        f"correlation matrix has rank below n_factors = {m}"))
+    # the matrices still iterating, whose communalities change in place
+    active = np.flatnonzero(np.equal(errors, None))
     diagonal = np.arange(p)
     for iteration in range(settings.max_iter):
+        if not active.size:
+            break
         if iteration == 0 and ones:
             # unit communalities leave R itself as the reduced matrix
-            w, vectors = eigenvalues, eigenvectors
+            w, vectors = eigenvalues[active], eigenvectors[active]
         else:
             # exactly symmetric, as R is: only the diagonal changes
             reduced = values[active]
-            reduced[:, diagonal, diagonal] = current
+            reduced[:, diagonal, diagonal] = communalities[active]
             (w, vectors), failed = _guarded(_top_eigh, reduced, m)
             ok = np.equal(failed, None)
             if not ok.all():
                 errors[active] = failed
-                active, current, w, vectors = active[ok], current[ok], w[ok], vectors[ok]
+                active, w, vectors = active[ok], w[ok], vectors[ok]
         top = np.sqrt(np.clip(w[:, :m], 0.0, None))
         iterate = vectors[:, :, :m] * top[:, None, :]
         squares = (iterate**2).sum(axis=-1)
         clipped = np.clip(squares, 0.0, 1.0)
         clamped[active] |= (squares > 1.0 + 1e-12).any(axis=-1)
-        step = np.abs(clipped - current).max(axis=-1)
-        current = clipped
+        step = np.abs(clipped - communalities[active]).max(axis=-1)
+        communalities[active] = clipped
         stop = step < settings.tol
         last = iteration + 1 == settings.max_iter
         if last or stop.any():
             done = stop | last
             rows = active[done]
             loadings[rows], updated[rows] = iterate[done], squares[done]
-            communalities[rows] = clipped[done]
             if last:
                 for j in np.flatnonzero(~stop):
                     errors[active[j]] = ConvergenceError(
@@ -459,9 +465,7 @@ def _uls(values, eigenvalues, eigenvectors, settings):
                         f"iterations (last change {step[j]:.3e})",
                         last_iterate=(np.array(iterate[j]), clipped[j].copy()),
                     )
-            active, current = active[~done], current[~done]
-            if not active.size:
-                break
+            active = active[~done]
     # keep clamped rows consistent: row sums of squares == communalities
     positive = updated > 0.0
     ratio = communalities / np.where(positive, updated, 1.0)
@@ -494,7 +498,7 @@ def uls_extract(corr, settings=ExtractionSettings()):
     _check_n_factors(settings, corr.p)
     loadings, communalities, clamped, errors = _uls(
         corr.values[None], corr.eigenvalues[None], corr.eigenvectors[None],
-        settings,
+        _no_errors(1), settings,
     )
     _warn_clamped(int(clamped.sum()))
     if errors[0] is not None:
@@ -516,11 +520,12 @@ def _turn_columns(stack, rows, j, k, planes):
     stack[rows, :, j], stack[rows, :, k] = turned[..., 0], turned[..., 1]
 
 
-def _varimax(values, kaiser_normalize=True):
+def _varimax(values, errors, kaiser_normalize=True):
     """Varimax of a (B, p, m) stack of loadings by pairwise plane rotations.
 
-    Each matrix sweeps until its own criterion gains less than
-    ``_VARIMAX_TOL``, at most ``_VARIMAX_MAX_SWEEPS`` times.
+    Each matrix whose ``errors`` entry is None sweeps until its own
+    criterion gains less than ``_VARIMAX_TOL``, at most
+    ``_VARIMAX_MAX_SWEEPS`` times; the others are not rotated.
     Plane angles, cosines and sines come from ``math`` on Python floats, one
     matrix at a time: ``np.arctan2`` and array squaring differ from them in
     the last bit on some inputs. Returns the canonical rotated loadings and
@@ -538,7 +543,7 @@ def _varimax(values, kaiser_normalize=True):
         work /= row_norms[..., None]
 
     criterion = _varimax_criterion(work)
-    active = np.arange(B)
+    active = np.flatnonzero(np.equal(errors, None))
     for _ in range(_VARIMAX_MAX_SWEEPS):
         for j, k in itertools.combinations(range(m), 2):
             x, y = work[active, :, j], work[active, :, k]
@@ -595,7 +600,7 @@ def varimax(loadings, kaiser_normalize=True):
     """
     if loadings.rotation != "none":
         raise ValidationError("varimax expects unrotated loadings")
-    rotated, rotation = _varimax(loadings.values[None], kaiser_normalize)
+    rotated, rotation = _varimax(loadings.values[None], _no_errors(1), kaiser_normalize)
     tagged = LoadingMatrix(loadings.labels, rotated[0], rotation="varimax")
     return tagged, rotation[0]
 
@@ -609,42 +614,46 @@ class PromaxSolution:
     phi: np.ndarray
 
 
-def _promax(values, kappa):
+def _promax(values, errors, kappa):
     """Promax of a (B, p, m) stack of varimax loadings.
 
-    Returns the pattern loadings (B, p, m), the factor correlations
-    (B, m, m) and per matrix a SingularMatrixError or LinAlgError (or None);
-    a ``kappa`` outside [1, inf) fails every matrix with a ValidationError.
-    Rank-deficient matrices are screened out before any inverse.
+    Runs on the matrices whose ``errors`` entry is None; a ``kappa`` outside
+    [1, inf) fails each with a ValidationError, rank-deficient loadings with
+    a SingularMatrixError before any inverse. Returns full-length stacks of
+    patterns (B, p, m), factor correlations (B, m, m) and ``errors`` plus
+    each of these errors and each LinAlgError.
     """
     B, p, m = values.shape
-    errors = _no_errors(B)
+    errors, ok = errors.copy(), np.equal(errors, None)
     if not 1 <= kappa < np.inf:
-        errors[:] = [ValidationError(f"kappa must be a finite exponent >= 1, got {kappa}")
-                     for _ in errors]
+        _fail(errors, ok, lambda i: ValidationError(
+            f"kappa must be a finite exponent >= 1, got {kappa}"))
         return np.zeros_like(values), np.zeros((B, m, m)), errors
     if m == 1:
         return np.array(values), np.ones((B, 1, 1)), errors
 
-    row_norms = np.sqrt((values**2).sum(axis=-1))
+    loadings = values[ok]
+    row_norms = np.sqrt((loadings**2).sum(axis=-1))
     row_norms[row_norms == 0.0] = 1.0
-    normalized = values / row_norms[..., None]
+    normalized = loadings / row_norms[..., None]
     target = np.sign(normalized) * np.abs(normalized) ** kappa
 
     # numpy forms A'A by syrk, so each gram matrix is exactly symmetric
-    (gram_values, gram_vectors), errors = _guarded(_top_eigh, _swap(normalized) @ normalized)
-    _fail(errors, _singular(gram_values),
+    (gram_values, gram_vectors), failed = _guarded(_top_eigh, _swap(normalized) @ normalized)
+    _fail(failed, _singular(gram_values),
           lambda i: SingularMatrixError("varimax loadings are rank deficient"))
-    ok = np.equal(errors, None)
-    normalized = normalized[ok]
-    inverse, _ = _eigen_inverse(gram_values[ok], gram_vectors[ok])
-    transform = inverse @ _swap(normalized) @ target[ok]
+    errors[ok] = failed
+    full = np.equal(failed, None)
+    normalized = normalized[full]
+    inverse, _ = _eigen_inverse(gram_values[full], gram_vectors[full])
+    transform = inverse @ _swap(normalized) @ target[full]
 
     inverse, failed = _guarded(np.linalg.inv, _swap(transform) @ transform)
     scale = np.sqrt(np.diagonal(inverse, axis1=-2, axis2=-1))
     transform = transform * scale[:, None, :]
-    pattern = (normalized @ transform) * row_norms[ok][..., None]
+    pattern = (normalized @ transform) * row_norms[full][..., None]
     phi, phi_failed = _guarded(np.linalg.inv, _swap(transform) @ transform)
+    ok = np.equal(errors, None)
     errors[ok] = np.where(np.equal(failed, None), phi_failed, failed)
 
     pattern, order, signs = _canonicalize(pattern)
@@ -678,7 +687,7 @@ def promax(varimax_loadings, kappa=3):
     """
     if varimax_loadings.rotation != "varimax":
         raise ValidationError("promax expects a varimax-rotated loading matrix")
-    pattern, phi, errors = _promax(varimax_loadings.values[None], kappa)
+    pattern, phi, errors = _promax(varimax_loadings.values[None], _no_errors(1), kappa)
     if errors[0] is not None:
         raise errors[0]
     pattern = LoadingMatrix(varimax_loadings.labels, pattern[0], rotation="promax")
@@ -1033,27 +1042,19 @@ def _chain(values, eigenvalues, eigenvectors, errors, settings, rotation, kappa)
 
     Takes what :func:`_checked_correlations` returns, ``errors`` being each
     matrix's error so far (None where it went through), and returns the
-    :class:`_Stages` of the stack. Each step runs on the matrices with no
-    error yet and writes its results and errors back by mask. This one
-    chain serves both failure policies: :func:`_pipelines` raises the first
-    error in stack order, the bootstrap drops and counts failures.
+    :class:`_Stages` of the stack. Each kernel takes the whole stack and
+    the errors so far, and skips the matrices that already have one. This
+    one chain serves both failure policies: :func:`_pipelines` raises the
+    first error in stack order, the bootstrap drops and counts failures.
     """
-    (k, p, _), m = values.shape, settings.n_factors
-    errors = errors.copy()
-    # column-major, as the kernels return loadings
-    loadings = _swap(np.zeros((k, m, p)))
-    communalities, clamped = np.zeros((k, p)), np.zeros(k, dtype=bool)
-    ok = np.equal(errors, None)
-    loadings[ok], communalities[ok], clamped[ok], errors[ok] = _uls(
-        values[ok], eigenvalues[ok], eigenvectors[ok], settings
+    loadings, communalities, clamped, errors = _uls(
+        values, eigenvalues, eigenvectors, errors, settings
     )
-    rotated, phi, ok = loadings, None, np.equal(errors, None)
+    rotated, phi = loadings, None
     if rotation != "none":
-        rotated = np.zeros_like(loadings)
-        rotated[ok], _ = _varimax(loadings[ok])
+        rotated, _ = _varimax(loadings, errors)
     if rotation == "promax":
-        phi = np.zeros((k, m, m))
-        rotated[ok], phi[ok], errors[ok] = _promax(rotated[ok], kappa)
+        rotated, phi, errors = _promax(rotated, errors, kappa)
     return _Stages(loadings, communalities, rotated, phi, clamped, errors)
 
 

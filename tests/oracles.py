@@ -334,6 +334,8 @@ def _oracle_correlation(x):
 
 def _oracle_uls(v, values, vectors, m, tol, max_iter, state):
     """Principal axes from unit communalities; sets state["clamped"]."""
+    if values[m - 1] <= 1e-12 * values[0]:
+        raise _OracleFailure("SingularMatrixError")
     communalities = np.ones(v.shape[0])
     reduced = np.array(v)
     for iteration in range(max_iter):

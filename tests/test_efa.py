@@ -14,6 +14,7 @@ from bibfactor import (
     ExtractionSettings,
     HeywoodWarning,
     LoadingMatrix,
+    SingularMatrixError,
     Transform,
     ValidationError,
     ZeroVarianceError,
@@ -383,8 +384,6 @@ class TestPromax:
     def test_rank_deficient_rejected(self):
         values = np.column_stack([np.full(4, 0.7), np.full(4, 0.7)])
         tagged = LoadingMatrix(("a", "b", "c", "d"), values, rotation="varimax")
-        from bibfactor import SingularMatrixError
-
         with pytest.raises(SingularMatrixError):
             promax(tagged)
 
@@ -448,7 +447,6 @@ class TestAdequacy:
         # the smallest eigenvalue of a, b, a + b, c is rounding noise of
         # either sign; bartlett and cfa_fit once followed that sign, and
         # seed 1 gave chi2 = 819 and a converged cfa fit
-        from bibfactor import SingularMatrixError
         from bibfactor.cfa import PatternSpec, cfa_fit
 
         a, b, c = np.random.default_rng(seed).normal(size=(3, 26))
@@ -624,6 +622,37 @@ class TestPipeline:
             sub.columns, settings, rotation, kappa,
         ))
         assert stack == loop
+
+
+class TestRankBelowNFactors:
+    # copies of one column give R the eigenvalues k, ~1e-16, ...: a second
+    # factor would be rounding noise, so extraction refuses it
+
+    @pytest.mark.parametrize("copies", [3, 7])
+    @pytest.mark.parametrize("rotation", efa.ROTATIONS)
+    def test_pipeline_raises(self, fixture, copies, rotation):
+        h = fixture.subset(("h",)).values
+        labels = [f"h{i}" for i in range(copies)]
+        with pytest.raises(SingularMatrixError,
+                           match="^correlation matrix has rank below n_factors = 2$"):
+            efa_pipeline(np.repeat(h, copies, axis=1), labels, rotation=rotation)
+
+    @pytest.mark.parametrize("rotation", efa.ROTATIONS)
+    def test_bootstrap_counts_the_resample(self, fixture, rotation):
+        # h, h and h changed in row 0: R has rank two, and rank one in
+        # every resample that misses row 0
+        h = fixture.subset(("h",)).values[:, 0]
+        changed = h.copy()
+        changed[0] += 5.0
+        table = np.column_stack([h, h, changed])
+        indices = np.random.default_rng(3).integers(0, len(h), size=(60, len(h)))
+        missed = int((~(indices == 0).any(axis=1)).sum())
+        result = bootstrap_efa(table, "abc", rotation=rotation, n_boot=60, indices=indices)
+        assert result.failures == {"SingularMatrixError": missed} and missed > 0
+        expected = oracle_bootstrap_efa(table, "raw", rotation, 60, indices=indices)
+        assert result.failures == expected["failures"]
+        for key in ("mean", "sd", "lower", "upper"):
+            assert getattr(result, key).tobytes() == expected[key].tobytes(), key
 
 
 class TestBootstrap:
@@ -1035,8 +1064,9 @@ def test_extraction_failing_mid_stack_fails_only_its_matrix(fixture, monkeypatch
 def test_chain_record_holds_every_matrix_in_input_order(fixture, monkeypatch, rotation):
     # one stack with a correlation-stage failure (a constant table), an
     # extraction failure (its decomposition raises, as in the test above), a
-    # promax failure (seven copies of h: rank-one loadings) and survivors;
-    # each row of the record is what a lone pipeline of its table gives
+    # rank failure (seven copies of h: R has rank one) and survivors; each
+    # row of the record is what a lone pipeline of its table gives, and the
+    # chain hands the extraction its own arrays, not masked copies
     sub = fixture.subset(SEVEN)
     rows = np.random.default_rng(31).integers(0, sub.n_rows, size=(3, sub.n_rows))
     tables = [sub.values[rows[0]], sub.values[np.full(sub.n_rows, 3)], sub.values[rows[1]],
@@ -1051,12 +1081,20 @@ def test_chain_record_holds_every_matrix_in_input_order(fixture, monkeypatch, ro
             raise np.linalg.LinAlgError("poisoned")
         return kernel(m, k)
 
+    handed = []
+
+    def spy(*args, kernel=efa._uls):
+        handed.append(args[:4])
+        return kernel(*args)
+
     monkeypatch.setattr(efa, "_top_eigh", flaky)
+    monkeypatch.setattr(efa, "_uls", spy)
     indices = np.arange(len(tables) * sub.n_rows).reshape(len(tables), sub.n_rows)
+    checked = efa._resample_correlations(np.vstack(tables), indices, SEVEN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HeywoodWarning)
-        stages = efa._chain(*efa._resample_correlations(np.vstack(tables), indices, SEVEN),
-                            ExtractionSettings(), rotation, 3)
+        stages = efa._chain(*checked, ExtractionSettings(), rotation, 3)
+    assert len(handed) == 1 and all(a is b for a, b in zip(handed[0], checked))
     assert type(stages) is efa._Stages
     assert (stages.phi is None) == (rotation != "promax")
     for name, stage in stages._asdict().items():
@@ -1088,8 +1126,65 @@ def test_chain_record_holds_every_matrix_in_input_order(fixture, monkeypatch, ro
         assert stages.rotated[i].tobytes() == alone.rotated.values.tobytes(), i
         if rotation == "promax":
             assert stages.phi[i].tobytes() == alone.phi.tobytes(), i
-    assert failed == ([1, 3, 4] if rotation == "promax" else [1, 3])
+    assert failed == [1, 3, 4]
     assert type(stages.errors[1]) is ZeroVarianceError and not stages.clamped[1]
+    assert type(stages.errors[4]) is SingularMatrixError
+
+
+def resample_stack(fixture, B=4):
+    """:func:`efa._resample_correlations` of B seeded resamples of the 7-set."""
+    sub = fixture.subset(SEVEN)
+    indices = np.random.default_rng(31).integers(0, sub.n_rows, size=(B, sub.n_rows))
+    return efa._resample_correlations(sub.values, indices, SEVEN)
+
+
+def test_uls_keeps_a_given_error_and_never_decomposes_its_matrix(fixture, monkeypatch):
+    # all four resamples clamp when extracted; the one given an error is
+    # left out of every decomposition and comes back zero and unclamped
+    values, eigenvalues, eigenvectors, errors = resample_stack(fixture)
+    given = ValidationError("given")
+    errors[1] = given
+    sizes = []
+
+    def spy(m, k=None, kernel=efa._top_eigh):
+        sizes.append(len(m))
+        return kernel(m, k)
+
+    monkeypatch.setattr(efa, "_top_eigh", spy)
+    settings = ExtractionSettings()
+    loadings, communalities, clamped, out = efa._uls(
+        values, eigenvalues, eigenvectors, errors, settings)
+    assert list(out) == [None, given, None, None] == list(errors)
+    assert sizes and max(sizes) == 3
+    assert not loadings[1].any() and not communalities[1].any() and not clamped[1]
+    rest = [0, 2, 3]
+    alone = efa._uls(values[rest], eigenvalues[rest], eigenvectors[rest],
+                     efa._no_errors(3), settings)
+    for got, want in zip((loadings, communalities, clamped), alone):
+        assert got[rest].tobytes() == want.tobytes()
+    assert clamped[rest].all()
+
+
+def test_rotations_keep_a_given_error(fixture):
+    # varimax leaves the matrix given an error unrotated; promax keeps that
+    # error and, with kappa = 0, fails only the other matrices
+    unrotated = efa._chain(*resample_stack(fixture), ExtractionSettings(), "none", 3).loadings
+    errors, given = efa._no_errors(4), ValidationError("given")
+    errors[2] = given
+    rest = [0, 1, 3]
+    rotated, rotation = efa._varimax(unrotated, errors)
+    assert rotation[2].tobytes() == np.eye(2).tobytes()
+    for got, want in zip((rotated, rotation), efa._varimax(unrotated[rest], efa._no_errors(3))):
+        assert got[rest].tobytes() == want.tobytes()
+    _, _, out = efa._promax(rotated, errors, 0)
+    assert out[2] is given
+    assert [(type(e), str(e)) for e in out[rest]] == [
+        (ValidationError, "kappa must be a finite exponent >= 1, got 0")] * 3
+    pattern, phi, out = efa._promax(rotated, errors, 3)
+    assert list(out) == [None, None, given, None] == list(errors)
+    want = efa._promax(rotated[rest], efa._no_errors(3), 3)
+    assert pattern[rest].tobytes() == want[0].tobytes()
+    assert phi[rest].tobytes() == want[1].tobytes()
 
 
 class TestGuardedStack:
